@@ -5,9 +5,8 @@
 //
 //	beaconsim [-n 1000] [-nb 110] [-na 10] [-p 0.2] [-tau 10] [-tauprime 2]
 //	          [-pd 0.9] [-m 8] [-wormhole] [-collude] [-seed 1]
-//	          [-queue auto|heap|wheel] [-cache] [-cache-dir DIR]
-//	beaconsim -metro [-nodes 100000] [-queue auto|heap|wheel]
-//	          [-metro-workers K] [-seed 1]
+//	          [-cache] [-cache-dir DIR]
+//	beaconsim -metro [-nodes 100000] [-metro-workers K] [-seed 1]
 //
 // -cache memoizes the run's result content-addressed by the full
 // configuration (including -seed): repeating an identical invocation
@@ -16,11 +15,9 @@
 //
 // -metro switches to the memory-bounded metro-scale scenario: -nodes
 // sets the population (the deployment is streamed, per-node results are
-// never retained), -queue selects the event queue — auto picks the
-// timing wheel at metro populations — and -metro-workers runs the
-// space-partitioned parallel kernel with K sharded schedulers. Results
-// are byte-identical across queues, and every identity-pinned field is
-// byte-identical across worker counts; the report ends with throughput
+// never retained) and -metro-workers runs the space-partitioned
+// parallel kernel with K sharded schedulers. Every identity-pinned field
+// is byte-identical across worker counts; the report ends with throughput
 // and peak-memory lines (machine-dependent, never part of the identity
 // contract). A metro run is interruptible: SIGINT/SIGTERM cancel it
 // mid-stream or mid-run.
@@ -47,7 +44,6 @@ import (
 	"beaconsec/internal/metrics"
 	"beaconsec/internal/revoke"
 	"beaconsec/internal/scenario"
-	"beaconsec/internal/sim"
 )
 
 func main() {
@@ -76,21 +72,15 @@ func run(args []string, out io.Writer) error {
 	metro := fs.Bool("metro", false, "run the memory-bounded metro-scale scenario instead")
 	nodes := fs.Int64("nodes", 100_000, "metro population (with -metro)")
 	metroWorkers := fs.Int("metro-workers", 1, "parallel shard count for -metro (identity-pinned results are byte-identical at any value)")
-	queue := fs.String("queue", "auto", "simulation event queue: auto, heap, or wheel (results are byte-identical)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	queueKind, err := sim.ParseQueueKind(*queue)
-	if err != nil {
 		return err
 	}
 
 	if *metro {
-		return runMetro(out, *nodes, queueKind, *metroWorkers, *seed)
+		return runMetro(out, *nodes, *metroWorkers, *seed)
 	}
 
 	cfg := scenario.Paper()
-	cfg.Queue = queueKind
 	cfg.Deploy.N = *n
 	cfg.Deploy.Nb = *nb
 	cfg.Deploy.Na = *na
@@ -147,16 +137,15 @@ func run(args []string, out io.Writer) error {
 }
 
 // runMetro executes one metro-scale run and prints its accounting. No
-// caching: a metro run is a single pass, and its performance knobs (the
-// queue and the worker count) deliberately never change identity-pinned
-// results. The trailing queue/events/memory lines carry per-shard
-// instrumentation and machine-dependent throughput — the CI identity
-// legs strip them before diffing.
-func runMetro(out io.Writer, nodes int64, queue sim.QueueKind, workers int, seed uint64) error {
+// caching: a metro run is a single pass, and its one performance knob,
+// the worker count, deliberately never changes identity-pinned results.
+// The trailing queue/events/memory lines carry per-shard instrumentation
+// and machine-dependent throughput — the CI identity legs strip them
+// before diffing.
+func runMetro(out io.Writer, nodes int64, workers int, seed uint64) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	cfg := scenario.MetroPaper(nodes, seed)
-	cfg.Queue = queue
 	cfg.Workers = workers
 	start := time.Now()
 	res, err := scenario.RunMetro(ctx, cfg)
@@ -170,8 +159,8 @@ func runMetro(out io.Writer, nodes int64, queue sim.QueueKind, workers int, seed
 	fmt.Fprintf(out, "population           %d nodes, %d beacons (%d malicious), field %.0fx%.0f ft\n",
 		res.Nodes, res.Beacons, res.Malicious,
 		cfg.Deploy.Field.Width(), cfg.Deploy.Field.Height())
-	fmt.Fprintf(out, "queue                %s x %d worker(s) (max pending %d, p99 depth %.0f)\n",
-		queue, workers, res.Sim.MaxPending, res.QueueDepth.Quantile(0.99))
+	fmt.Fprintf(out, "queue                %d worker(s), max pending %d, p99 depth %.0f\n",
+		workers, res.Sim.MaxPending, res.QueueDepth.Quantile(0.99))
 	fmt.Fprintf(out, "probes               %d sent: %d replied, %d timed out\n",
 		res.Probes, res.Replies, res.Timeouts)
 	fmt.Fprintf(out, "consistency check    %d malicious replies flagged (rate %.3f), %d benign flagged\n",

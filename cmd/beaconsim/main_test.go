@@ -145,7 +145,7 @@ func TestRunMetroReport(t *testing.T) {
 	for _, want := range []string{
 		"population", "probes", "consistency check",
 		"events/s", "GOMAXPROCS", "memory", "peak footprint",
-		"x 1 worker(s)",
+		" 1 worker(s), max pending",
 	} {
 		if !strings.Contains(serial, want) {
 			t.Errorf("metro report missing %q:\n%s", want, serial)
@@ -153,7 +153,7 @@ func TestRunMetroReport(t *testing.T) {
 	}
 
 	parallel := runMetroOnce("4")
-	if !strings.Contains(parallel, "x 4 worker(s)") {
+	if !strings.Contains(parallel, " 4 worker(s), max pending") {
 		t.Errorf("parallel report does not name the worker count:\n%s", parallel)
 	}
 	if stripMachine(serial) != stripMachine(parallel) {

@@ -10,8 +10,7 @@
 // Usage:
 //
 //	figures [-fig all|fig04,fig12,...] [-quick] [-seed N] [-out DIR]
-//	        [-workers N] [-progress] [-json FILE] [-queue auto|heap|wheel]
-//	        [-metro-workers K]
+//	        [-workers N] [-progress] [-json FILE] [-metro-workers K]
 //	        [-detectors paper,mahalanobis{threshold=2.5},ml]
 //	        [-cache] [-cache-dir DIR] [-cache-clear]
 //	        [-cpuprofile FILE] [-memprofile FILE]
@@ -44,7 +43,6 @@ import (
 	"beaconsec/internal/core"
 	"beaconsec/internal/experiment"
 	"beaconsec/internal/metrics"
-	"beaconsec/internal/sim"
 )
 
 func main() {
@@ -66,7 +64,6 @@ func run(args []string, out io.Writer) (err error) {
 	workers := fs.Int("workers", 0, "trial and figure concurrency (0 = all CPUs)")
 	progress := fs.Bool("progress", true, "print per-figure trial progress to stderr")
 	jsonOut := fs.String("json", "", "write results as JSON to FILE ('-' for stdout)")
-	queue := fs.String("queue", "auto", "simulation event queue: auto, heap, or wheel (results are byte-identical)")
 	metroWorkers := fs.Int("metro-workers", 0, "shard count for extra-metro's parallel identity leg (0 = default; identity-pinned results are byte-identical at any value)")
 	useCache := fs.Bool("cache", false, "memoize simulation trials on disk (see -cache-dir)")
 	cacheDir := fs.String("cache-dir", filepath.Join("results", "cache"), "trial cache directory")
@@ -138,11 +135,7 @@ func run(args []string, out io.Writer) (err error) {
 			runners = append(runners, r)
 		}
 	}
-	queueKind, err := sim.ParseQueueKind(*queue)
-	if err != nil {
-		return err
-	}
-	opts := experiment.Options{Quick: *quick, Seed: *seed, Workers: *workers, Cache: trialCache, Queue: queueKind, MetroWorkers: *metroWorkers}
+	opts := experiment.Options{Quick: *quick, Seed: *seed, Workers: *workers, Cache: trialCache, MetroWorkers: *metroWorkers}
 	if *detectors != "" {
 		specs, derr := parseDetectors(*detectors)
 		if derr != nil {

@@ -34,7 +34,6 @@ func ExtraDistributed(o Options) (Result, error) {
 	}
 	cfgAt := func(point int, distributed bool) scenario.Config {
 		cfg := scenario.Paper()
-		cfg.Queue = o.Queue
 		cfg.Strategy = analysis.StrategyForP(ps[point])
 		cfg.Collude = true
 		cfg.Distributed = distributed

@@ -15,7 +15,6 @@ import (
 	"beaconsec/internal/deploy"
 	"beaconsec/internal/harness"
 	"beaconsec/internal/scenario"
-	"beaconsec/internal/sim"
 	"beaconsec/internal/textplot"
 )
 
@@ -45,21 +44,13 @@ type Options struct {
 	// detector with default parameters. The paper-figure runners ignore
 	// it: they reproduce the paper and always run its pipeline.
 	Detectors []core.DetectorSpec
-	// Queue selects the simulation event-queue implementation for every
-	// scenario the runners execute (sim.QueueAuto picks by population).
-	// Results are byte-identical for every choice — scenario.Config
-	// excludes it from cache keys — so this is purely a performance knob.
-	Queue sim.QueueKind
 	// MetroWorkers is the shard count of the metro runner's parallel
 	// identity leg (extra-metro); 0 picks a default that exercises the
 	// sharded kernel even on one CPU. Identity-pinned metro fields are
-	// byte-identical at any value, so like Queue it is a performance
-	// knob, never a result knob.
+	// byte-identical at any value, so it is a performance knob, never a
+	// result knob.
 	MetroWorkers int
 }
-
-// DefaultOptions is the full-fidelity configuration.
-func DefaultOptions() Options { return Options{Seed: 1} }
 
 // progress adapts the caller's callback to the harness's Progress type.
 func (o Options) progress() func(harness.Progress) {

@@ -8,17 +8,16 @@ import (
 
 	"beaconsec/internal/metrics"
 	"beaconsec/internal/scenario"
-	"beaconsec/internal/sim"
 	"beaconsec/internal/textplot"
 )
 
 // metroSizes are the population points the metro runner sweeps. The full
-// set tops out at 50k nodes — large enough that the wheel is the
-// auto-selected queue and the standing event population is tens of
-// thousands, small enough for a figure run; the 100k–1M regime lives in
-// the benchmarks (BenchmarkSchedulerWheelFireMillion,
-// BenchmarkDeployMetro*, BenchmarkRunMetroParallel) and
-// results/BENCH_*_metro.json / BENCH_*_parallel.json.
+// set tops out at 50k nodes — large enough that the standing event
+// population is tens of thousands, small enough for a figure run; the
+// 100k–1M regime lives in the benchmarks
+// (BenchmarkSchedulerWheelFireMillion, BenchmarkDeployMetro*,
+// BenchmarkRunMetroParallel) and results/BENCH_*_metro.json /
+// BENCH_*_parallel.json.
 func metroSizes(o Options) []int64 {
 	if o.Quick {
 		return []int64{2_000, 5_000}
@@ -38,11 +37,11 @@ func metroWorkers(o Options) int {
 }
 
 // ExtraMetro regenerates the metro-scale extension experiment: for each
-// population it runs the streamed probe scenario under BOTH event queues
-// plus the space-partitioned parallel kernel, errors if the queues
-// diverge in any way or the parallel run diverges in any identity-pinned
-// field (the tentpole contracts, enforced on every figure regeneration,
-// not just in tests), and reports the deterministic outcome curves.
+// population it runs the streamed probe scenario on the serial kernel
+// and on the space-partitioned parallel kernel, errors if the parallel
+// run diverges in any identity-pinned field (the tentpole contract,
+// enforced on every figure regeneration, not just in tests), and reports
+// the deterministic outcome curves.
 // Wall-clock throughput and the execution environment are recorded in
 // the notes only — they vary by machine, so they must never enter the
 // series a golden file might pin.
@@ -52,7 +51,7 @@ func ExtraMetro(o Options) (Result, error) {
 	workers := metroWorkers(o)
 	res := Result{
 		ID:     "extra-metro",
-		Title:  "E6: metro scale — streamed scenarios at 2k-50k nodes, wheel vs heap",
+		Title:  "E6: metro scale — streamed scenarios at 2k-50k nodes",
 		XLabel: "nodes",
 		YLabel: "rate / normalized count",
 	}
@@ -64,29 +63,12 @@ func ExtraMetro(o Options) (Result, error) {
 	start := time.Now()
 	for i, n := range sizes {
 		cfg := scenario.MetroPaper(n, o.Seed)
-
-		cfg.Queue = sim.QueueHeap
-		heapStart := time.Now()
-		heap, err := scenario.RunMetro(ctx, cfg)
+		serialStart := time.Now()
+		serial, err := scenario.RunMetro(ctx, cfg)
 		if err != nil {
-			return Result{}, fmt.Errorf("metro %d nodes (heap): %w", n, err)
+			return Result{}, fmt.Errorf("metro %d nodes: %w", n, err)
 		}
-		heapWall := time.Since(heapStart)
-
-		cfg.Queue = sim.QueueWheel
-		wheelStart := time.Now()
-		wheel, err := scenario.RunMetro(ctx, cfg)
-		if err != nil {
-			return Result{}, fmt.Errorf("metro %d nodes (wheel): %w", n, err)
-		}
-		wheelWall := time.Since(wheelStart)
-
-		hb, _ := json.Marshal(heap)
-		wb, _ := json.Marshal(wheel)
-		if string(hb) != string(wb) {
-			return Result{}, fmt.Errorf(
-				"metro %d nodes: wheel diverged from heap queue\nheap:  %s\nwheel: %s", n, hb, wb)
-		}
+		serialWall := time.Since(serialStart)
 
 		parStart := time.Now()
 		par, err := scenario.RunMetroParallel(ctx, cfg, workers)
@@ -95,7 +77,7 @@ func ExtraMetro(o Options) (Result, error) {
 		}
 		parWall := time.Since(parStart)
 		pb, _ := json.Marshal(par.Identity())
-		sb, _ := json.Marshal(wheel.Identity())
+		sb, _ := json.Marshal(serial.Identity())
 		if string(pb) != string(sb) {
 			return Result{}, fmt.Errorf(
 				"metro %d nodes: parallel x%d diverged from serial in identity-pinned fields\nserial:   %s\nparallel: %s",
@@ -103,19 +85,17 @@ func ExtraMetro(o Options) (Result, error) {
 		}
 
 		xs[i] = float64(n)
-		flagRate[i] = wheel.FlagRate
-		timeoutRate[i] = float64(wheel.Timeouts) / float64(wheel.Probes)
-		pendingPerNode[i] = float64(wheel.Sim.MaxPending) / float64(n)
-		depthP99[i] = wheel.QueueDepth.Quantile(0.99) / float64(n)
+		flagRate[i] = serial.FlagRate
+		timeoutRate[i] = float64(serial.Timeouts) / float64(serial.Probes)
+		pendingPerNode[i] = float64(serial.Sim.MaxPending) / float64(n)
+		depthP99[i] = serial.QueueDepth.Quantile(0.99) / float64(n)
 
-		events := float64(wheel.Sim.Events)
 		res.Notes = append(res.Notes, fmt.Sprintf(
-			"%d nodes: %d events, max pending %d; wall-clock %.0fms heap vs %.0fms wheel (%.2fx, machine-dependent); parallel x%d %.0fms (%.2fx vs wheel), identity-pinned fields byte-identical",
-			n, wheel.Sim.Events, wheel.Sim.MaxPending,
-			float64(heapWall.Milliseconds()), float64(wheelWall.Milliseconds()),
-			events/wheelWall.Seconds()/(events/heapWall.Seconds()),
+			"%d nodes: %d events, max pending %d; wall-clock %.0fms serial (machine-dependent); parallel x%d %.0fms (%.2fx vs serial), identity-pinned fields byte-identical",
+			n, serial.Sim.Events, serial.Sim.MaxPending,
+			float64(serialWall.Milliseconds()),
 			workers, float64(parWall.Milliseconds()),
-			wheelWall.Seconds()/parWall.Seconds()))
+			serialWall.Seconds()/parWall.Seconds()))
 
 		if o.Progress != nil {
 			o.Progress(i+1, len(sizes), time.Since(start))
@@ -129,7 +109,6 @@ func ExtraMetro(o Options) (Result, error) {
 	}
 	env := metrics.CaptureEnv()
 	res.Notes = append(res.Notes,
-		"wheel and heap queues byte-identical at every size (checked this run)",
 		fmt.Sprintf("parallel kernel (x%d shards) identity-pinned fields byte-identical at every size (checked this run)", workers),
 		"memory-bounded: deployment streamed, per-node results never retained",
 		fmt.Sprintf("env: %s %s/%s, GOMAXPROCS=%d of %d CPUs (scaling numbers are meaningless without this)",

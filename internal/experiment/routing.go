@@ -33,7 +33,6 @@ func ExtraRouting(o Options) (Result, error) {
 	type deliverySample struct{ Defended, Undefended float64 }
 	cfgAt := func(point int, defended bool) scenario.Config {
 		cfg := scenario.Paper()
-		cfg.Queue = o.Queue
 		cfg.Strategy = analysis.StrategyForP(ps[point])
 		cfg.Collude = false
 		cfg.CalibrationTrials = 500

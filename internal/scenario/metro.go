@@ -51,15 +51,10 @@ import (
 type MetroConfig struct {
 	// Deploy is the streamed deployment.
 	Deploy deploy.MetroConfig
-	// Queue selects the scheduler's event-queue implementation. As in
-	// Config, the choice is a pure performance knob: results are pinned
-	// byte-identical across queues (TestRunMetroQueueIdentity), so it is
-	// excluded from any cache-key material.
-	Queue sim.QueueKind `json:"-"`
 	// Workers selects the parallel shard count: 0 or 1 runs the serial
 	// kernel, K ≥ 2 runs K space-partitioned shards on their own
-	// goroutines. Like Queue it is a pure performance knob excluded from
-	// cache-key material — the identity-pinned fields of MetroResult
+	// goroutines. It is a pure performance knob excluded from cache-key
+	// material — the identity-pinned fields of MetroResult
 	// (everything MetroResult.Identity covers) are byte-identical at any
 	// worker count; only the scheduler instrumentation (Sim.MaxPending,
 	// Sim.VirtualCycles, QueueDepth's distribution) becomes per-shard,
@@ -197,10 +192,10 @@ type MetroResult struct {
 }
 
 // MetroIdentity is the projection of a MetroResult that is pinned
-// byte-identical across every performance knob — queue implementation
-// and worker count alike. Tests, the extra-metro runner, and the CI
-// parallel-identity leg all compare runs through this projection; the
-// fields it omits (MaxPending, VirtualCycles, the depth distribution)
+// byte-identical at any worker count, whichever queue each shard's
+// scheduler picks for its population. Tests, the extra-metro runner, and
+// the CI parallel-identity leg all compare runs through this projection;
+// the fields it omits (MaxPending, VirtualCycles, the depth distribution)
 // are the per-shard instrumentation documented on MetroResult.
 type MetroIdentity struct {
 	Nodes     int64 `json:"nodes"`
@@ -387,7 +382,6 @@ func runMetroSerial(ctx context.Context, cfg MetroConfig) (*MetroResult, error) 
 	}
 	depth := sim.DepthHistogram()
 	sched := sim.NewWithConfig(sim.Config{
-		Queue:       cfg.Queue,
 		PendingHint: cfg.Deploy.NumNodes,
 		Depth:       depth,
 	})
@@ -496,7 +490,6 @@ func runMetroParallel(ctx context.Context, cfg MetroConfig, workers int) (*Metro
 		depth := sim.DepthHistogram()
 		shards[i] = &metroShard{
 			sched: sim.NewWithConfig(sim.Config{
-				Queue:       cfg.Queue,
 				PendingHint: r.Len(),
 				Depth:       depth,
 			}),

@@ -8,24 +8,32 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"beaconsec/internal/sim"
 )
 
 // TestRunMetroWorkerInvariance is the tentpole property test: every
 // identity-pinned field of MetroResult (the MetroIdentity projection) is
-// byte-identical across worker counts, for both queue implementations.
-// CI runs this under -race, so it doubles as the data-race check on the
-// sharded kernel.
+// byte-identical across worker counts, on both sides of the scheduler's
+// queue selection. The serial run's PendingHint is the node count, so the
+// "heap" population sits below the wheel threshold (256 pending events)
+// and the "wheel" population above it. CI runs this under -race, so it
+// doubles as the data-race check on the sharded kernel.
 func TestRunMetroWorkerInvariance(t *testing.T) {
 	workerCounts := []int{1, 2, 3, runtime.NumCPU()}
-	for _, kind := range []sim.QueueKind{sim.QueueHeap, sim.QueueWheel} {
-		t.Run(kind.String(), func(t *testing.T) {
-			cfg := MetroPaper(metroN(t), 11)
-			cfg.Queue = kind
+	for _, tc := range []struct {
+		name string
+		n    int64
+	}{
+		{"heap", 200},
+		{"wheel", metroN(t)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := MetroPaper(tc.n, 11)
 			serial, err := RunMetro(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if serial.Probes == 0 {
+				t.Fatalf("n=%d: serial run sent no probes", tc.n)
 			}
 			want, _ := json.Marshal(serial.Identity())
 			for _, w := range workerCounts {

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
@@ -55,59 +54,6 @@ func TestRunMetroBasics(t *testing.T) {
 	if res.QueueDepth.Count == 0 || res.RTT.Count != uint64(res.Replies) {
 		t.Errorf("histograms unfilled: depth %d, rtt %d (replies %d)",
 			res.QueueDepth.Count, res.RTT.Count, res.Replies)
-	}
-}
-
-// TestRunMetroQueueIdentity pins the tentpole contract at the scenario
-// level: the wheel and the heap produce byte-identical metro results —
-// every counter, both histograms, and the scheduler stats.
-func TestRunMetroQueueIdentity(t *testing.T) {
-	cfg := MetroPaper(metroN(t), 7)
-	cfg.Queue = sim.QueueHeap
-	heap, err := RunMetro(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Queue = sim.QueueWheel
-	wheel, err := RunMetro(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb, _ := json.Marshal(heap)
-	wb, _ := json.Marshal(wheel)
-	if string(hb) != string(wb) {
-		t.Fatalf("wheel diverged from heap:\n--- heap\n%s\n--- wheel\n%s", hb, wb)
-	}
-}
-
-// TestRunQueueIdentity pins the same contract on the full figure
-// pipeline: scenario.Run under the wheel is byte-identical to the heap,
-// including the instrumentation snapshot.
-func TestRunQueueIdentity(t *testing.T) {
-	cfg := Paper()
-	cfg.CalibrationTrials = 200
-	cfg.Queue = sim.QueueHeap
-	heap, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Queue = sim.QueueWheel
-	wheel, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if heap.DetectionRate != wheel.DetectionRate ||
-		heap.FalsePositiveRate != wheel.FalsePositiveRate ||
-		heap.LocErrMean != wheel.LocErrMean ||
-		heap.Localized != wheel.Localized ||
-		heap.Timeouts != wheel.Timeouts ||
-		heap.Medium != wheel.Medium {
-		t.Fatalf("headline results diverged:\nheap  %+v\nwheel %+v", heap, wheel)
-	}
-	hb, _ := json.Marshal(heap.Metrics)
-	wb, _ := json.Marshal(wheel.Metrics)
-	if string(hb) != string(wb) {
-		t.Fatalf("instrumentation diverged:\n--- heap\n%s\n--- wheel\n%s", hb, wb)
 	}
 }
 
@@ -180,16 +126,11 @@ func BenchmarkRunMetro10k(b *testing.B) {
 	if testing.Short() {
 		b.Skip("metro-scale macro benchmark; run without -short")
 	}
-	for _, kind := range []sim.QueueKind{sim.QueueHeap, sim.QueueWheel} {
-		b.Run(kind.String(), func(b *testing.B) {
-			cfg := MetroPaper(10_000, 1)
-			cfg.Queue = kind
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := RunMetro(context.Background(), cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	cfg := MetroPaper(10_000, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunMetro(context.Background(), cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

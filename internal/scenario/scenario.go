@@ -110,14 +110,6 @@ type Config struct {
 	// Seed drives everything except deployment placement (Deploy.Seed).
 	Seed uint64
 
-	// Queue selects the scheduler's event-queue implementation
-	// (sim.QueueAuto picks by population). The wheel and the heap are
-	// pinned byte-identical — same event order, same results — so the
-	// choice is a pure performance knob and is excluded from cache keys
-	// (json:"-"): trials cached under one queue satisfy runs under the
-	// other.
-	Queue sim.QueueKind `json:"-"`
-
 	// bruteForceMedium is a test hook: it forces the radio medium's
 	// historical O(N) receiver scan instead of the spatial grid (see
 	// phy.Config.BruteForce). The two paths are pinned byte-identical
@@ -277,7 +269,6 @@ func Run(cfg Config) (*Result, error) {
 	// sequence), so keeping it on preserves result identity across queues.
 	depth := sim.DepthHistogram()
 	sched := sim.NewWithConfig(sim.Config{
-		Queue:       cfg.Queue,
 		PendingHint: int64(cfg.Deploy.N),
 		Depth:       depth,
 	})

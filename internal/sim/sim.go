@@ -10,10 +10,11 @@
 //
 // Determinism: events at equal times fire in scheduling order (FIFO),
 // which combined with the seeded rng package makes every run reproducible.
-// The scheduler offers two event-queue implementations behind one
+// The scheduler has two event-queue implementations behind one
 // interface — a binary min-heap and a hierarchical timing wheel — pinned
-// to the identical (at, seq) total order (see DESIGN.md §13), so queue
-// choice is a performance knob, never a behavioral one.
+// to the identical (at, seq) total order (see DESIGN.md §13). It picks
+// one from the expected schedule size alone, so the choice never changes
+// behavior.
 package sim
 
 import (
@@ -39,9 +40,6 @@ func Micros(us float64) Time { return Time(us * CPUHz / 1e6) }
 
 // Seconds converts seconds of wall time to cycles.
 func Seconds(s float64) Time { return Time(s * CPUHz) }
-
-// Float returns t as a float64 cycle count.
-func (t Time) Float() float64 { return float64(t) }
 
 // Seconds returns t in seconds of simulated wall time.
 func (t Time) Seconds() float64 { return float64(t) / CPUHz }
@@ -189,62 +187,18 @@ func (q *eventQueue) nextAt() (Time, bool) {
 	return (*q)[0].at, true
 }
 
-// QueueKind selects the Scheduler's event-queue implementation.
-type QueueKind uint8
+// wheelThreshold is the PendingHint at which NewWithConfig switches from
+// the heap to the timing wheel. Below it the heap's short sifts beat the
+// wheel's slot bitmap scans and 196 KB slot array; at 256 standing events
+// the two cross (measured in EXPERIMENTS.md "Event-queue selection").
+const wheelThreshold = 256
 
-const (
-	// QueueAuto picks the heap for small schedules and the timing wheel
-	// when Config.PendingHint predicts a large standing event population
-	// (≥ autoWheelThreshold pending events).
-	QueueAuto QueueKind = iota
-	// QueueHeap forces the binary min-heap (the oracle).
-	QueueHeap
-	// QueueWheel forces the hierarchical timing wheel.
-	QueueWheel
-)
-
-// autoWheelThreshold is the PendingHint at which QueueAuto switches from
-// the heap to the wheel: around a few thousand standing events the heap's
-// O(log n) sifts lose to the wheel's O(1) slot filing.
-const autoWheelThreshold = 4096
-
-// String implements fmt.Stringer.
-func (k QueueKind) String() string {
-	switch k {
-	case QueueAuto:
-		return "auto"
-	case QueueHeap:
-		return "heap"
-	case QueueWheel:
-		return "wheel"
-	default:
-		return fmt.Sprintf("QueueKind(%d)", uint8(k))
-	}
-}
-
-// ParseQueueKind converts a flag value ("auto", "heap", "wheel") to a
-// QueueKind.
-func ParseQueueKind(s string) (QueueKind, error) {
-	switch s {
-	case "auto", "":
-		return QueueAuto, nil
-	case "heap":
-		return QueueHeap, nil
-	case "wheel":
-		return QueueWheel, nil
-	default:
-		return QueueAuto, fmt.Errorf("sim: unknown queue kind %q (want auto, heap or wheel)", s)
-	}
-}
-
-// Config parameterizes a Scheduler. The zero value reproduces New():
-// auto queue selection with no hint, which is the heap.
+// Config parameterizes a Scheduler. The zero value reproduces New().
 type Config struct {
-	// Queue selects the event-queue implementation.
-	Queue QueueKind
-	// PendingHint is the expected steady-state number of pending events;
-	// QueueAuto selects the wheel at or above autoWheelThreshold. Zero
-	// means unknown.
+	// PendingHint is the expected steady-state number of pending events.
+	// It picks the queue — the heap below wheelThreshold, the timing
+	// wheel at or above it — and presizes the free list. Zero means
+	// unknown, which selects the heap.
 	PendingHint int64
 	// Depth, when non-nil, observes the queue depth after every schedule
 	// — the standing event population histogram. Nil disables (no cost
@@ -281,38 +235,25 @@ const initialQueueCap = 256
 
 // New returns a Scheduler starting at time zero, using the min-heap queue.
 func New() *Scheduler {
-	return NewWithConfig(Config{Queue: QueueHeap})
+	return NewWithConfig(Config{})
 }
 
-// NewWithConfig returns a Scheduler starting at time zero with the given
-// queue selection and instrumentation.
+// NewWithConfig returns a Scheduler starting at time zero, with the queue
+// picked by cfg.PendingHint and the given instrumentation.
 func NewWithConfig(cfg Config) *Scheduler {
-	kind := cfg.Queue
-	if kind == QueueAuto {
-		if cfg.PendingHint >= autoWheelThreshold {
-			kind = QueueWheel
-		} else {
-			kind = QueueHeap
-		}
-	}
-	// PendingHint also presizes the free list (and the heap's slice) so a
-	// metro-scale run reaches steady state without reallocation churn.
-	capHint := int64(initialQueueCap)
-	if cfg.PendingHint > capHint {
-		capHint = min(cfg.PendingHint, 1<<22)
-	}
-	var q queue
-	if kind == QueueWheel {
-		q = newWheelQueue()
-	} else {
-		eq := make(eventQueue, 0, capHint)
-		q = &eq
-	}
-	return &Scheduler{
-		q:     q,
+	// PendingHint also presizes the free list so a metro-scale run
+	// reaches steady state without reallocation churn.
+	capHint := min(max(cfg.PendingHint, initialQueueCap), 1<<22)
+	s := &Scheduler{
 		free:  make([]*event, 0, capHint),
 		depth: cfg.Depth,
 	}
+	if cfg.PendingHint >= wheelThreshold {
+		s.q = newWheelQueue()
+	} else {
+		s.lazyQueue()
+	}
+	return s
 }
 
 // lazyQueue returns the scheduler's queue, initializing a heap for a

@@ -1,9 +1,24 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
+
+// queueKinds builds a Scheduler on each queue implementation directly,
+// bypassing the PendingHint rule, so the oracle tests and benchmarks can
+// run heap and wheel at any schedule size.
+var queueKinds = []struct {
+	name  string
+	sched func() *Scheduler
+}{
+	{"heap", newHeapScheduler},
+	{"wheel", newWheelScheduler},
+}
+
+func newHeapScheduler() *Scheduler  { return &Scheduler{q: &eventQueue{}} }
+func newWheelScheduler() *Scheduler { return &Scheduler{q: newWheelQueue()} }
 
 // fire records one executed event for order comparison.
 type fire struct {
@@ -37,11 +52,8 @@ func decodeDelta(class, a, b byte) Time {
 // brute-force pattern): the heap's (at, seq) order is the contract.
 func diffQueues(t *testing.T, script []byte) {
 	t.Helper()
-	heap := New()
-	wheel := NewWithConfig(Config{Queue: QueueWheel})
-	if _, ok := wheel.q.(*wheelQueue); !ok {
-		t.Fatal("QueueWheel did not select the wheel queue")
-	}
+	heap := newHeapScheduler()
+	wheel := newWheelScheduler()
 
 	var hLog, wLog []fire
 	type handlePair struct{ h, w Handle }
@@ -162,7 +174,7 @@ func FuzzQueueOrder(f *testing.F) {
 // pulled the wheel's cursor forward; the next At lands between the clock
 // and the cursor and must still fire in (at, seq) order.
 func TestWheelRewindAfterRunUntil(t *testing.T) {
-	s := NewWithConfig(Config{Queue: QueueWheel})
+	s := newWheelScheduler()
 	var order []int
 	s.At(1_000_000, func() { order = append(order, 2) })
 	s.RunUntil(10) // cursor has advanced to 1_000_000; now == 10
@@ -184,7 +196,7 @@ func TestWheelRewindAfterRunUntil(t *testing.T) {
 // bottom-rung filing vs. cascaded overflow filing) still fire in
 // scheduling order.
 func TestWheelSameTickFIFO(t *testing.T) {
-	s := NewWithConfig(Config{Queue: QueueWheel})
+	s := newWheelScheduler()
 	const target = Time(1 << 20)
 	var order []int
 	// Scheduled far in advance: files in an overflow rung, cascades later.
@@ -208,7 +220,7 @@ func TestWheelSameTickFIFO(t *testing.T) {
 // lists plus the pooled free list mean a warm schedule→fire cycle never
 // touches the allocator.
 func TestWheelScheduleFireZeroAlloc(t *testing.T) {
-	s := NewWithConfig(Config{Queue: QueueWheel})
+	s := newWheelScheduler()
 	count := 0
 	fn := func() { count++ }
 	cycle := func() {
@@ -229,7 +241,7 @@ func TestWheelScheduleFireZeroAlloc(t *testing.T) {
 // TestWheelDeepScheduleFireZeroAlloc pins the same property with a
 // standing population across many rungs, so cascades are exercised too.
 func TestWheelDeepScheduleFireZeroAlloc(t *testing.T) {
-	s := NewWithConfig(Config{Queue: QueueWheel})
+	s := newWheelScheduler()
 	fn := func() {}
 	for i := 0; i < 4096; i++ {
 		s.At(s.Now()+Time(1000+i*37), fn)
@@ -252,9 +264,10 @@ func TestWheelDeepScheduleFireZeroAlloc(t *testing.T) {
 // TestQueueDepthHistogram pins the Config.Depth hook: every At observes
 // the post-push queue depth.
 func TestQueueDepthHistogram(t *testing.T) {
-	for _, kind := range []QueueKind{QueueHeap, QueueWheel} {
+	for _, kind := range queueKinds {
 		h := DepthHistogram()
-		s := NewWithConfig(Config{Queue: kind, Depth: h})
+		s := kind.sched()
+		s.depth = h
 		fn := func() {}
 		for i := 0; i < 10; i++ {
 			s.At(Time(100+i), fn)
@@ -263,37 +276,36 @@ func TestQueueDepthHistogram(t *testing.T) {
 			t.Fatal(err)
 		}
 		if h.Count != 10 {
-			t.Fatalf("%v: depth histogram has %d observations, want 10", kind, h.Count)
+			t.Fatalf("%s: depth histogram has %d observations, want 10", kind.name, h.Count)
 		}
 		if h.Max != 10 {
-			t.Fatalf("%v: depth histogram Max = %v, want 10", kind, h.Max)
+			t.Fatalf("%s: depth histogram Max = %v, want 10", kind.name, h.Max)
 		}
 	}
 }
 
-// TestQueueAutoSelection pins the auto heuristic: small hints stay on
-// the heap oracle, metro-scale hints move to the wheel.
+// TestQueueAutoSelection pins the selection rule: the heap below
+// wheelThreshold pending events, the wheel at or above it, and the heap
+// for New() and the zero-value Scheduler.
 func TestQueueAutoSelection(t *testing.T) {
-	small := NewWithConfig(Config{Queue: QueueAuto, PendingHint: 100})
-	if _, ok := small.q.(*eventQueue); !ok {
-		t.Fatalf("auto with hint 100 selected %T, want heap", small.q)
+	var zero Scheduler
+	zero.At(1, func() {})
+	const heap, wheel = "*sim.eventQueue", "*sim.wheelQueue"
+	cases := []struct {
+		name string
+		s    *Scheduler
+		want string
+	}{
+		{"hint 0", NewWithConfig(Config{}), heap},
+		{"hint threshold-1", NewWithConfig(Config{PendingHint: wheelThreshold - 1}), heap},
+		{"hint threshold", NewWithConfig(Config{PendingHint: wheelThreshold}), wheel},
+		{"New", New(), heap},
+		{"zero value", &zero, heap},
 	}
-	big := NewWithConfig(Config{Queue: QueueAuto, PendingHint: 100_000})
-	if _, ok := big.q.(*wheelQueue); !ok {
-		t.Fatalf("auto with hint 100000 selected %T, want wheel", big.q)
-	}
-}
-
-// TestParseQueueKind covers the flag parser round trip.
-func TestParseQueueKind(t *testing.T) {
-	for _, want := range []QueueKind{QueueAuto, QueueHeap, QueueWheel} {
-		got, err := ParseQueueKind(want.String())
-		if err != nil || got != want {
-			t.Fatalf("ParseQueueKind(%q) = %v, %v", want.String(), got, err)
+	for _, tc := range cases {
+		if got := fmt.Sprintf("%T", tc.s.q); got != tc.want {
+			t.Errorf("%s: selected %s, want %s", tc.name, got, tc.want)
 		}
-	}
-	if _, err := ParseQueueKind("calendar"); err == nil {
-		t.Fatal("ParseQueueKind accepted an unknown kind")
 	}
 }
 
@@ -301,9 +313,8 @@ func TestParseQueueKind(t *testing.T) {
 // scheduler with a standing population of `standing` pending events and
 // randomized short-horizon timer delays — the MAC/phy timer distribution
 // the wheel is built for. The delay sequence is a fixed xorshift stream,
-// identical for every queue kind.
-func benchScheduleFire(b *testing.B, kind QueueKind, standing int) {
-	s := NewWithConfig(Config{Queue: kind, PendingHint: int64(standing)})
+// identical for every queue.
+func benchScheduleFire(b *testing.B, s *Scheduler, standing int) {
 	fn := func() {}
 	rnd := uint64(0x9E3779B97F4A7C15)
 	horizon := func() Time {
@@ -329,13 +340,21 @@ func benchScheduleFire(b *testing.B, kind QueueKind, standing int) {
 
 // BenchmarkSchedulerWheelFire is the wheel counterpart of
 // BenchmarkScheduleFire: warm steady state, no standing queue.
-func BenchmarkSchedulerWheelFire(b *testing.B) { benchScheduleFire(b, QueueWheel, 0) }
+func BenchmarkSchedulerWheelFire(b *testing.B) { benchScheduleFire(b, newWheelScheduler(), 0) }
 
-// BenchmarkSchedulerWheelFireDepth / BenchmarkSchedulerHeapFireDepth
-// measure the mixed-horizon cycle with 1000 standing events (the
-// paper-scale regime).
-func BenchmarkSchedulerWheelFireDepth(b *testing.B) { benchScheduleFire(b, QueueWheel, 1000) }
-func BenchmarkSchedulerHeapFireDepth(b *testing.B)  { benchScheduleFire(b, QueueHeap, 1000) }
+// BenchmarkSchedulerFireDepth measures the mixed-horizon cycle on both
+// queues across standing populations that bracket wheelThreshold: the
+// heap wins on small schedules, the wheel from about 256 events up
+// (1000 is the paper-scale regime).
+func BenchmarkSchedulerFireDepth(b *testing.B) {
+	for _, kind := range queueKinds {
+		for _, standing := range []int{2, 16, 64, 256, 1000} {
+			b.Run(fmt.Sprintf("%s/%d", kind.name, standing), func(b *testing.B) {
+				benchScheduleFire(b, kind.sched(), standing)
+			})
+		}
+	}
+}
 
 // skipInShort gates the metro-scale macro benchmarks out of -short bench
 // smokes (CI runs every benchmark at -benchtime 1x -short): building a
@@ -353,26 +372,25 @@ func skipInShort(b *testing.B) {
 // ~20-level sift paths per operation and the wheel files in O(1).
 func BenchmarkSchedulerHeapFireMillion(b *testing.B) {
 	skipInShort(b)
-	benchScheduleFire(b, QueueHeap, 1_000_000)
+	benchScheduleFire(b, newHeapScheduler(), 1_000_000)
 }
 
 func BenchmarkSchedulerWheelFireMillion(b *testing.B) {
 	skipInShort(b)
-	benchScheduleFire(b, QueueWheel, 1_000_000)
+	benchScheduleFire(b, newWheelScheduler(), 1_000_000)
 }
 
 // BenchmarkSchedulerWheelMillion and BenchmarkSchedulerHeapMillion are
 // the end-to-end metro measurement: schedule a one-million-event backlog
 // spread across rungs, then drain it — total schedule+fire throughput at
 // up to 1M pending events.
-func BenchmarkSchedulerWheelMillion(b *testing.B) { benchMillion(b, QueueWheel) }
-func BenchmarkSchedulerHeapMillion(b *testing.B)  { benchMillion(b, QueueHeap) }
+func BenchmarkSchedulerWheelMillion(b *testing.B) { benchMillion(b, newWheelScheduler()) }
+func BenchmarkSchedulerHeapMillion(b *testing.B)  { benchMillion(b, newHeapScheduler()) }
 
-func benchMillion(b *testing.B, kind QueueKind) {
+func benchMillion(b *testing.B, s *Scheduler) {
 	skipInShort(b)
 	const backlog = 1_000_000
 	fn := func() {}
-	s := NewWithConfig(Config{Queue: kind, PendingHint: backlog})
 	cycle := func() {
 		base := s.Now()
 		for j := 0; j < backlog; j++ {
