@@ -26,41 +26,54 @@ type receptionLog struct {
 	end       sim.Time
 }
 
-// buildLoggedMedium builds a medium over the given positions with a
-// logging handler on every radio. All rng streams are seeded
-// identically across calls so two mediums differing only in BruteForce
-// must behave byte-identically.
-func buildLoggedMedium(positions []geo.Point, brute bool) (*sim.Scheduler, *Medium, []*Radio, *[]receptionLog) {
+// loggedMedium is a medium whose every radio logs what its handler
+// observes. All rng streams are seeded identically across instances, so
+// two mediums differing only in BruteForce must behave byte-identically.
+type loggedMedium struct {
+	sched  *sim.Scheduler
+	m      *Medium
+	radios []*Radio
+	log    []receptionLog
+}
+
+func newLoggedMedium(positions []geo.Point, brute bool) *loggedMedium {
 	sched := sim.New()
-	m := NewMedium(sched, rng.New(42), Config{
+	lm := &loggedMedium{sched: sched, m: NewMedium(sched, rng.New(42), Config{
 		Range:      150,
 		Ranging:    BoundedUniform{MaxError: 10},
 		BruteForce: brute,
-	})
-	log := &[]receptionLog{}
-	radios := make([]*Radio, len(positions))
-	for i, p := range positions {
-		i := i
-		r := m.NewRadio(p)
-		r.SetHandler(func(rec Reception) {
-			*log = append(*log, receptionLog{
-				radio:     i,
-				data0:     rec.Frame.Data[0],
-				measured:  rec.MeasuredDist,
-				firstByte: rec.FirstByteSPDR,
-				end:       rec.End,
-			})
-		})
-		radios[i] = r
+	})}
+	for _, p := range positions {
+		lm.add(p)
 	}
-	return sched, m, radios, log
+	return lm
+}
+
+// add registers a logging radio at p; its log index is its registration
+// index.
+func (lm *loggedMedium) add(p geo.Point) {
+	i := len(lm.radios)
+	r := lm.m.NewRadio(p)
+	r.SetHandler(func(rec Reception) {
+		lm.log = append(lm.log, receptionLog{
+			radio:     i,
+			data0:     rec.Frame.Data[0],
+			measured:  rec.MeasuredDist,
+			firstByte: rec.FirstByteSPDR,
+			end:       rec.End,
+		})
+	})
+	lm.radios = append(lm.radios, r)
 }
 
 // TestGridDeliveryMatchesBruteForce pins the tentpole contract: the
-// spatial grid resolves exactly the receivers the historical O(N) scan
-// did, in the same order, consuming the medium's rng stream
-// identically — so every downstream byte (measurements, timestamps,
-// event order) is unchanged.
+// neighbour tables (Transmit) and the spatial grid (Inject) resolve
+// exactly the receivers the historical O(N) scan did, in the same
+// order, consuming the medium's rng stream identically — so every
+// downstream byte (measurements, timestamps, event order) is unchanged.
+// Radios registered mid-run, after in-range radios have built their
+// tables, must be appended to those tables; an isolated radio keeps its
+// empty table rather than rebuilding it on every transmit.
 func TestGridDeliveryMatchesBruteForce(t *testing.T) {
 	rnd := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 10; trial++ {
@@ -77,13 +90,15 @@ func TestGridDeliveryMatchesBruteForce(t *testing.T) {
 		// A colocated pair and a pair exactly Range apart (boundary).
 		positions[0] = geo.Point{X: 500, Y: 500}
 		positions[1] = geo.Point{X: 500, Y: 500}
-		if n > 2 {
-			positions[2] = geo.Point{X: 650, Y: 500} // exactly 150 from [0]
-		}
+		positions[2] = geo.Point{X: 650, Y: 500} // exactly 150 from [0]
+		// An isolated radio, out of range of everything on the field.
+		iso := n - 1
+		positions[iso] = geo.Point{X: 5000, Y: 5000}
 
 		type action struct {
-			fromRadio int // -1: Inject from origin
-			origin    geo.Point
+			fromRadio int       // -1: Inject from origin, or register
+			origin    geo.Point // Inject origin, or where NewRadio registers
+			register  bool
 			at        sim.Time
 			size      int
 		}
@@ -97,69 +112,87 @@ func TestGridDeliveryMatchesBruteForce(t *testing.T) {
 			}
 			actions[i] = a
 		}
+		for _, at := range []sim.Time{100_000, 2_100_000, 4_100_000} {
+			actions = append(actions, action{fromRadio: iso, at: at, size: 12})
+		}
+		// Late registration: host transmits (building its table), then
+		// radio n+k registers within range of it, then both transmit. The
+		// registration times are ordered, so the late radio's index is
+		// n+k in both runs.
+		for k := 0; k < 3; k++ {
+			host := rnd.Intn(iso)
+			reg := sim.Time(1_000_000 * (k + 1))
+			late := positions[host]
+			late.X += 100 * rnd.Float64()
+			late.Y += 100 * rnd.Float64()
+			actions = append(actions,
+				action{fromRadio: host, at: reg - 500_000, size: 10},
+				action{fromRadio: -1, register: true, origin: late, at: reg},
+				action{fromRadio: host, at: reg + 500_000, size: 11},
+				action{fromRadio: n + k, at: reg + 600_000, size: 13},
+			)
+		}
 
-		run := func(brute bool) ([]receptionLog, Stats) {
-			sched, m, radios, log := buildLoggedMedium(positions, brute)
+		run := func(brute bool) *loggedMedium {
+			lm := newLoggedMedium(positions, brute)
 			for _, a := range actions {
 				a := a
-				sched.At(a.at, func() {
+				lm.sched.At(a.at, func() {
+					if a.register {
+						lm.add(a.origin)
+						return
+					}
 					f := Frame{Data: make([]byte, a.size)}
 					f.Data[0] = byte(a.size)
 					if a.fromRadio >= 0 {
-						m.Transmit(radios[a.fromRadio], f)
+						lm.m.Transmit(lm.radios[a.fromRadio], f)
 					} else {
-						m.Inject(a.origin, f)
+						lm.m.Inject(a.origin, f)
 					}
 				})
 			}
-			if err := sched.Run(); err != nil {
+			if err := lm.sched.Run(); err != nil {
 				t.Fatal(err)
 			}
-			return *log, m.Stats()
+			return lm
 		}
 
-		gridLog, gridStats := run(false)
-		bruteLog, bruteStats := run(true)
-		if gridStats != bruteStats {
-			t.Fatalf("trial %d: stats diverge: grid %+v vs brute %+v", trial, gridStats, bruteStats)
+		table, brute := run(false), run(true)
+		if table.m.Stats() != brute.m.Stats() {
+			t.Fatalf("trial %d: stats diverge: table %+v vs brute %+v", trial, table.m.Stats(), brute.m.Stats())
 		}
-		if len(gridLog) != len(bruteLog) {
-			t.Fatalf("trial %d: %d receptions via grid, %d via brute force", trial, len(gridLog), len(bruteLog))
+		if len(table.log) != len(brute.log) {
+			t.Fatalf("trial %d: %d receptions via table, %d via brute force", trial, len(table.log), len(brute.log))
 		}
-		for i := range gridLog {
-			if gridLog[i] != bruteLog[i] {
-				t.Fatalf("trial %d: reception %d diverges: grid %+v vs brute %+v",
-					trial, i, gridLog[i], bruteLog[i])
+		for i := range table.log {
+			if table.log[i] != brute.log[i] {
+				t.Fatalf("trial %d: reception %d diverges: table %+v vs brute %+v",
+					trial, i, table.log[i], brute.log[i])
 			}
 		}
-	}
-}
-
-// TestTransmitPrunesActives pins the satellite fix: a run that never
-// carrier-senses (no Busy calls) must not accumulate active intervals
-// forever.
-func TestTransmitPrunesActives(t *testing.T) {
-	sched, m := newTestMedium(Config{Range: 150})
-	tx := m.NewRadio(geo.Point{X: 0, Y: 0})
-	for i := 0; i < 200; i++ {
-		m.Transmit(tx, frame(16))
-		if err := sched.Run(); err != nil {
-			t.Fatal(err)
+		if r := table.radios[iso]; !r.nbrsBuilt || len(r.nbrs) != 0 {
+			t.Fatalf("trial %d: isolated radio table built=%v len=%d, want built and empty",
+				trial, r.nbrsBuilt, len(r.nbrs))
 		}
-		// Move time well past the frame so the interval expires.
-		sched.After(FrameAirTime(16)*4, func() {})
-		sched.Run()
-	}
-	if len(m.actives) > 2 {
-		t.Fatalf("actives grew to %d entries despite no carrier sensing", len(m.actives))
+		senders := map[int]bool{}
+		for _, a := range actions {
+			if a.fromRadio >= 0 {
+				senders[a.fromRadio] = true
+			}
+		}
+		if table.m.builds != len(senders) {
+			t.Fatalf("trial %d: %d table builds for %d distinct senders, want one each",
+				trial, table.m.builds, len(senders))
+		}
 	}
 }
 
 // TestTransmitSteadyStateZeroAlloc pins the pooling work: once the
-// event free list, delivery pool, and scratch buffers are warm, a
-// transmit→deliver cycle performs zero heap allocations (the frame
-// buffer itself is owned and reused by the caller here, as the
-// benchmarks and batch paths do).
+// event free list, delivery pool, scratch buffers and neighbour table
+// are warm, a transmit→deliver cycle performs zero heap allocations
+// (the frame buffer itself is owned and reused by the caller here, as
+// the benchmarks and batch paths do). The Inject cycle pins the grid
+// path, which radio-less launches still take.
 func TestTransmitSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector perturbs allocation behavior; pin not meaningful")
@@ -170,15 +203,25 @@ func TestTransmitSteadyStateZeroAlloc(t *testing.T) {
 		m.NewRadio(geo.Point{X: float64(i), Y: 10})
 	}
 	buf := make([]byte, 16)
-	cycle := func() {
-		m.Transmit(tx, Frame{Data: buf})
-		sched.Run()
-	}
-	for i := 0; i < 50; i++ { // warm pools
-		cycle()
-	}
-	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
-		t.Fatalf("steady-state transmit+deliver allocates %.1f times per op, want 0", avg)
+	for _, c := range []struct {
+		name  string
+		cycle func()
+	}{
+		{"transmit", func() {
+			m.Transmit(tx, Frame{Data: buf})
+			sched.Run()
+		}},
+		{"inject", func() {
+			m.Inject(geo.Point{X: 20, Y: 0}, Frame{Data: buf})
+			sched.Run()
+		}},
+	} {
+		for i := 0; i < 50; i++ { // warm pools
+			c.cycle()
+		}
+		if avg := testing.AllocsPerRun(100, c.cycle); avg != 0 {
+			t.Fatalf("steady-state %s+deliver allocates %.1f times per op, want 0", c.name, avg)
+		}
 	}
 }
 
@@ -230,14 +273,15 @@ func TestSignEncodeDeliverVerifyZeroAlloc(t *testing.T) {
 	}
 }
 
-// benchTransmit measures one transmit (receiver resolution plus the
+// benchTransmit measures one launch (receiver resolution plus the
 // scheduler drain of its deliveries) against nRadios radios deployed at
 // the paper's density — the field grows with N, as the north-star
 // scaling story demands. Neighbor counts therefore stay constant
-// (~80), so the grid path is O(neighbors) per transmit while the
-// brute-force path pays the O(N) scan. Pools are warmed before the
-// timer starts so the reported allocs/op is the steady state.
-func benchTransmit(b *testing.B, nRadios int, brute bool) {
+// (~80), so a Transmit walks an O(neighbors) table and an Inject from
+// the same point an O(neighbors) grid query, while the brute-force path
+// pays the O(N) scan. Pools are warmed before the timer starts so the
+// reported allocs/op is the steady state.
+func benchTransmit(b *testing.B, nRadios int, brute, inject bool) {
 	// Paper density: 1,110 nodes in a 1000×1000 ft field.
 	side := math.Sqrt(float64(nRadios) * 1e6 / 1110)
 	rnd := rand.New(rand.NewSource(5))
@@ -253,26 +297,38 @@ func benchTransmit(b *testing.B, nRadios int, brute bool) {
 	}
 	tx := m.NewRadio(geo.Point{X: side / 2, Y: side / 2})
 	buf := make([]byte, 24)
-	for i := 0; i < 100; i++ { // warm the event/delivery pools
-		m.Transmit(tx, Frame{Data: buf})
+	launch := func() {
+		if inject {
+			m.Inject(tx.Pos(), Frame{Data: buf})
+		} else {
+			m.Transmit(tx, Frame{Data: buf})
+		}
 		sched.Run()
+	}
+	for i := 0; i < 100; i++ { // warm the event/delivery pools
+		launch()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Transmit(tx, Frame{Data: buf})
-		sched.Run()
+		launch()
 	}
 }
 
 func BenchmarkTransmit(b *testing.B) {
-	b.Run("radios=100", func(b *testing.B) { benchTransmit(b, 100, false) })
-	b.Run("radios=1000", func(b *testing.B) { benchTransmit(b, 1000, false) })
-	b.Run("radios=10000", func(b *testing.B) { benchTransmit(b, 10000, false) })
+	b.Run("radios=100", func(b *testing.B) { benchTransmit(b, 100, false, false) })
+	b.Run("radios=1000", func(b *testing.B) { benchTransmit(b, 1000, false, false) })
+	b.Run("radios=10000", func(b *testing.B) { benchTransmit(b, 10000, false, false) })
+}
+
+func BenchmarkInject(b *testing.B) {
+	b.Run("radios=100", func(b *testing.B) { benchTransmit(b, 100, false, true) })
+	b.Run("radios=1000", func(b *testing.B) { benchTransmit(b, 1000, false, true) })
+	b.Run("radios=10000", func(b *testing.B) { benchTransmit(b, 10000, false, true) })
 }
 
 func BenchmarkTransmitBruteForce(b *testing.B) {
-	b.Run("radios=100", func(b *testing.B) { benchTransmit(b, 100, true) })
-	b.Run("radios=1000", func(b *testing.B) { benchTransmit(b, 1000, true) })
-	b.Run("radios=10000", func(b *testing.B) { benchTransmit(b, 10000, true) })
+	b.Run("radios=100", func(b *testing.B) { benchTransmit(b, 100, true, false) })
+	b.Run("radios=1000", func(b *testing.B) { benchTransmit(b, 1000, true, false) })
+	b.Run("radios=10000", func(b *testing.B) { benchTransmit(b, 10000, true, false) })
 }

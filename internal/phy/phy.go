@@ -192,6 +192,12 @@ type Radio struct {
 	pos     geo.Point
 	medium  *Medium
 	handler Handler
+	// nbrs lists, in ascending index, every other radio within range:
+	// the receivers of this radio's transmissions. Radios never move, so
+	// it is built once, on the first Transmit (nbrsBuilt), and extended
+	// only by NewRadio.
+	nbrs      []int32
+	nbrsBuilt bool
 	// inflight arrivals, for collision marking.
 	inflight []*arrival
 	// tx intervals for half-duplex suppression, pruned lazily.
@@ -260,11 +266,11 @@ type Config struct {
 	// DefaultJitter.
 	Jitter Jitter
 	// BruteForce forces transmissions to resolve receivers with the
-	// historical O(N) scan over all radios instead of the spatial grid.
-	// The two paths are defined to be byte-identical (same receivers,
-	// same visit order, same rng draws); this switch exists so tests and
-	// benchmarks can pin that equivalence. Production callers leave it
-	// false.
+	// historical O(N) scan over all radios instead of the neighbour
+	// tables and the spatial grid. The paths are defined to be
+	// byte-identical (same receivers, same visit order, same rng draws);
+	// this switch exists so tests and benchmarks can pin that
+	// equivalence. Production callers leave it false.
 	BruteForce bool
 }
 
@@ -277,9 +283,9 @@ type Medium struct {
 	radios  []*Radio
 	grid    *geo.Grid // spatial index over radio positions; cell = Range
 	scratch []int32   // reusable candidate buffer for grid queries
+	builds  int       // neighbour tables built; each radio's at most once
 	taps    []Tap
 	stats   Stats
-	actives []interval // ongoing transmissions anywhere, for carrier sense
 	// pendFree recycles pending-delivery records (and their pre-bound
 	// fire closures) so steady-state delivery allocates nothing.
 	pendFree []*pending
@@ -306,12 +312,47 @@ func (m *Medium) Range() float64 { return m.cfg.Range }
 // Stats returns a copy of the medium counters.
 func (m *Medium) Stats() Stats { return m.stats }
 
-// NewRadio registers a radio at pos.
+// NewRadio registers a radio at pos. Its index is the largest so far,
+// so appending it to every built neighbour table within range keeps
+// those tables in ascending order.
 func (m *Medium) NewRadio(pos geo.Point) *Radio {
 	r := &Radio{pos: pos, medium: m}
+	idx := int32(len(m.radios))
+	m.scratch = m.grid.Candidates(pos, m.cfg.Range, m.scratch[:0])
+	for _, ri := range m.scratch {
+		o := m.radios[ri]
+		if !o.nbrsBuilt || o.pos.Dist(pos) > m.cfg.Range {
+			continue
+		}
+		o.nbrs = append(o.nbrs, idx)
+	}
 	m.radios = append(m.radios, r)
 	m.grid.Add(pos) // grid index == position in m.radios
 	return r
+}
+
+// neighbours returns r's neighbour table, building it on first use from
+// the grid candidates and the brute-force scan's own in-range predicate,
+// so the table holds exactly the receivers that scan would visit, in
+// its order.
+func (m *Medium) neighbours(r *Radio) []int32 {
+	if r.nbrsBuilt {
+		return r.nbrs
+	}
+	m.scratch = m.grid.Candidates(r.pos, m.cfg.Range, m.scratch[:0])
+	in := m.scratch[:0]
+	for _, ri := range m.scratch {
+		rx := m.radios[ri]
+		if rx == r || r.pos.Dist(rx.pos) > m.cfg.Range {
+			continue
+		}
+		in = append(in, ri)
+	}
+	r.nbrs = make([]int32, len(in))
+	copy(r.nbrs, in)
+	r.nbrsBuilt = true
+	m.builds++
+	return r.nbrs
 }
 
 // AddTap registers an attack-tooling tap invoked for every transmission.
@@ -328,12 +369,9 @@ func propagation(dist float64) sim.Time {
 // within range of r right now. Used by the MAC for CSMA.
 func (m *Medium) Busy(r *Radio) bool {
 	now := m.sched.Now()
-	m.pruneActives(now)
-	// Carrier sense cannot tell where a transmission came from without
-	// demodulating; conservatively, any active transmission in range
-	// asserts carrier. Positions of active transmissions are not stored
-	// (they have already been resolved into per-receiver arrivals), so
-	// sense via the radio's own inflight arrivals plus its own tx state.
+	// Every transmission in range of r has already been resolved into an
+	// arrival at r, so carrier is r's own inflight arrivals plus its own
+	// tx state.
 	for _, a := range r.inflight {
 		if a.span.start <= now && now < a.span.end {
 			return true
@@ -341,16 +379,6 @@ func (m *Medium) Busy(r *Radio) bool {
 	}
 	r.pruneTx(now)
 	return len(r.tx) > 0
-}
-
-func (m *Medium) pruneActives(now sim.Time) {
-	keep := m.actives[:0]
-	for _, iv := range m.actives {
-		if iv.end > now {
-			keep = append(keep, iv)
-		}
-	}
-	m.actives = keep
 }
 
 // Transmit puts f on air from radio r, returning its timing. The sender
@@ -412,12 +440,8 @@ func (m *Medium) launch(origin geo.Point, sender *Radio, f Frame) TxInfo {
 	if sender == nil {
 		m.stats.Injections++
 	}
-	// Prune here, not only in carrier sense: a run that never samples
-	// Busy (no CSMA contention) must not grow actives for its lifetime.
-	m.pruneActives(start)
-	m.actives = append(m.actives, interval{start, end})
-
-	if m.cfg.BruteForce {
+	switch {
+	case m.cfg.BruteForce:
 		for _, rx := range m.radios {
 			if rx == sender {
 				continue
@@ -428,7 +452,15 @@ func (m *Medium) launch(origin geo.Point, sender *Radio, f Frame) TxInfo {
 			}
 			m.deliver(rx, origin, trueDist, f, info)
 		}
-	} else {
+	case sender != nil:
+		// The table is in ascending radio index, the order the
+		// brute-force scan visits, and delivery uses the same distance
+		// float, so the rng draw order is the O(N) path's.
+		for _, ri := range m.neighbours(sender) {
+			rx := m.radios[ri]
+			m.deliver(rx, origin, origin.Dist(rx.pos), f, info)
+		}
+	default:
 		// Candidates come back in ascending radio index — registration
 		// order, i.e. exactly the order the brute-force scan visits —
 		// and the in-range predicate below is the scan's own, so the
@@ -437,9 +469,6 @@ func (m *Medium) launch(origin geo.Point, sender *Radio, f Frame) TxInfo {
 		m.scratch = m.grid.Candidates(origin, m.cfg.Range, m.scratch[:0])
 		for _, ri := range m.scratch {
 			rx := m.radios[ri]
-			if rx == sender {
-				continue
-			}
 			trueDist := origin.Dist(rx.pos)
 			if trueDist > m.cfg.Range {
 				continue

@@ -9,8 +9,9 @@ import (
 )
 
 // TestGridVsBruteForceByteIdentical pins the central promise of the
-// spatial-grid optimisation: swapping the radio medium's O(N) receiver
-// scan for the grid changes no output byte of a full scenario run. The
+// radio medium's receiver resolution: swapping its O(N) receiver scan
+// for the neighbour tables (Transmit) and the spatial grid (Inject)
+// changes no output byte of a full scenario run. The
 // config deliberately exercises every delivery path — CSMA contention,
 // a wormhole tunnel (Inject from arbitrary origins), a local replay
 // attacker, collusion traffic — so a divergence anywhere in receiver

@@ -111,9 +111,9 @@ type Config struct {
 	Seed uint64
 
 	// bruteForceMedium is a test hook: it forces the radio medium's
-	// historical O(N) receiver scan instead of the spatial grid (see
-	// phy.Config.BruteForce). The two paths are pinned byte-identical
-	// by TestGridVsBruteForceByteIdentical.
+	// historical O(N) receiver scan instead of its neighbour tables and
+	// spatial grid (see phy.Config.BruteForce). The paths are pinned
+	// byte-identical by TestGridVsBruteForceByteIdentical.
 	bruteForceMedium bool
 }
 
