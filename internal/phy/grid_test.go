@@ -188,7 +188,7 @@ func TestGridDeliveryMatchesBruteForce(t *testing.T) {
 }
 
 // TestTransmitSteadyStateZeroAlloc pins the pooling work: once the
-// event free list, delivery pool, scratch buffers and neighbour table
+// event free list, fanout pool, scratch buffers and neighbour table
 // are warm, a transmit→deliver cycle performs zero heap allocations
 // (the frame buffer itself is owned and reused by the caller here, as
 // the benchmarks and batch paths do). The Inject cycle pins the grid
@@ -280,7 +280,9 @@ func TestSignEncodeDeliverVerifyZeroAlloc(t *testing.T) {
 // (~80), so a Transmit walks an O(neighbors) table and an Inject from
 // the same point an O(neighbors) grid query, while the brute-force path
 // pays the O(N) scan. Pools are warmed before the timer starts so the
-// reported allocs/op is the steady state.
+// reported allocs/op is the steady state. events/op is the scheduler
+// events one launch fires: one per distinct arrival instant, at most two
+// at the 150 ft range.
 func benchTransmit(b *testing.B, nRadios int, brute, inject bool) {
 	// Paper density: 1,110 nodes in a 1000×1000 ft field.
 	side := math.Sqrt(float64(nRadios) * 1e6 / 1110)
@@ -305,17 +307,20 @@ func benchTransmit(b *testing.B, nRadios int, brute, inject bool) {
 		}
 		sched.Run()
 	}
-	for i := 0; i < 100; i++ { // warm the event/delivery pools
+	for i := 0; i < 100; i++ { // warm the event and fanout pools
 		launch()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	fired := sched.Fired()
 	for i := 0; i < b.N; i++ {
 		launch()
 	}
+	b.ReportMetric(float64(sched.Fired()-fired)/float64(b.N), "events/op")
 }
 
 func BenchmarkTransmit(b *testing.B) {
+	b.Run("radios=1", func(b *testing.B) { benchTransmit(b, 1, false, false) })
 	b.Run("radios=100", func(b *testing.B) { benchTransmit(b, 100, false, false) })
 	b.Run("radios=1000", func(b *testing.B) { benchTransmit(b, 1000, false, false) })
 	b.Run("radios=10000", func(b *testing.B) { benchTransmit(b, 10000, false, false) })

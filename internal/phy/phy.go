@@ -19,6 +19,7 @@ package phy
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"beaconsec/internal/geo"
 	"beaconsec/internal/rng"
@@ -282,13 +283,13 @@ type Medium struct {
 	cfg     Config
 	radios  []*Radio
 	grid    *geo.Grid // spatial index over radio positions; cell = Range
-	scratch []int32   // reusable candidate buffer for grid queries
+	scratch []int32   // reusable receiver buffer for grid queries and scans
 	builds  int       // neighbour tables built; each radio's at most once
 	taps    []Tap
 	stats   Stats
-	// pendFree recycles pending-delivery records (and their pre-bound
-	// fire closures) so steady-state delivery allocates nothing.
-	pendFree []*pending
+	// fanFree recycles fanout records (and their pre-bound fire
+	// closures) so steady-state delivery allocates nothing.
+	fanFree []*fanout
 }
 
 // NewMedium creates a medium over the given scheduler. src must be a
@@ -332,27 +333,52 @@ func (m *Medium) NewRadio(pos geo.Point) *Radio {
 }
 
 // neighbours returns r's neighbour table, building it on first use from
-// the grid candidates and the brute-force scan's own in-range predicate,
-// so the table holds exactly the receivers that scan would visit, in
+// the grid's in-range receivers of r's position, less r itself, so the
+// table holds exactly the receivers the brute-force scan would visit, in
 // its order.
 func (m *Medium) neighbours(r *Radio) []int32 {
 	if r.nbrsBuilt {
 		return r.nbrs
 	}
-	m.scratch = m.grid.Candidates(r.pos, m.cfg.Range, m.scratch[:0])
+	in := m.inRange(r.pos)
+	r.nbrs = make([]int32, 0, len(in)-1)
+	for _, ri := range in {
+		if m.radios[ri] != r {
+			r.nbrs = append(r.nbrs, ri)
+		}
+	}
+	r.nbrsBuilt = true
+	m.builds++
+	return r.nbrs
+}
+
+// scan is the brute-force receiver resolution: every radio but the
+// sender within range of origin, in ascending index.
+func (m *Medium) scan(origin geo.Point, sender *Radio) []int32 {
+	m.scratch = m.scratch[:0]
+	for i, rx := range m.radios {
+		if rx == sender || origin.Dist(rx.pos) > m.cfg.Range {
+			continue
+		}
+		m.scratch = append(m.scratch, int32(i))
+	}
+	return m.scratch
+}
+
+// inRange lists every radio within range of origin, from the grid.
+// Candidates come back in ascending radio index, and the in-range
+// predicate is the scan's own, so for a radio-less launch the list is
+// exactly scan's.
+func (m *Medium) inRange(origin geo.Point) []int32 {
+	m.scratch = m.grid.Candidates(origin, m.cfg.Range, m.scratch[:0])
 	in := m.scratch[:0]
 	for _, ri := range m.scratch {
-		rx := m.radios[ri]
-		if rx == r || r.pos.Dist(rx.pos) > m.cfg.Range {
+		if origin.Dist(m.radios[ri].pos) > m.cfg.Range {
 			continue
 		}
 		in = append(in, ri)
 	}
-	r.nbrs = make([]int32, len(in))
-	copy(r.nbrs, in)
-	r.nbrsBuilt = true
-	m.builds++
-	return r.nbrs
+	return in
 }
 
 // AddTap registers an attack-tooling tap invoked for every transmission.
@@ -440,41 +466,41 @@ func (m *Medium) launch(origin geo.Point, sender *Radio, f Frame) TxInfo {
 	if sender == nil {
 		m.stats.Injections++
 	}
+	var rxs []int32
 	switch {
 	case m.cfg.BruteForce:
-		for _, rx := range m.radios {
-			if rx == sender {
-				continue
-			}
-			trueDist := origin.Dist(rx.pos)
-			if trueDist > m.cfg.Range {
-				continue
-			}
-			m.deliver(rx, origin, trueDist, f, info)
-		}
+		rxs = m.scan(origin, sender)
 	case sender != nil:
-		// The table is in ascending radio index, the order the
-		// brute-force scan visits, and delivery uses the same distance
-		// float, so the rng draw order is the O(N) path's.
-		for _, ri := range m.neighbours(sender) {
-			rx := m.radios[ri]
-			m.deliver(rx, origin, origin.Dist(rx.pos), f, info)
-		}
+		rxs = m.neighbours(sender)
 	default:
-		// Candidates come back in ascending radio index — registration
-		// order, i.e. exactly the order the brute-force scan visits —
-		// and the in-range predicate below is the scan's own, so the
-		// delivery sequence (and with it the medium's rng draw order)
-		// is byte-identical to the O(N) path.
-		m.scratch = m.grid.Candidates(origin, m.cfg.Range, m.scratch[:0])
-		for _, ri := range m.scratch {
-			rx := m.radios[ri]
-			trueDist := origin.Dist(rx.pos)
-			if trueDist > m.cfg.Range {
-				continue
-			}
-			m.deliver(rx, origin, trueDist, f, info)
+		rxs = m.inRange(origin)
+	}
+	// Every path lists its receivers in ascending radio index and
+	// delivers with the same distance float, so the delivery sequence,
+	// and with it the medium's rng draw order, is the O(N) scan's.
+	fo := m.getFanout()
+	fo.frame = f
+	// Sized before the walk so the arrival records deliver links into
+	// receivers' inflight lists never move.
+	if cap(fo.rx) < len(rxs) {
+		fo.rx = make([]delivery, 0, len(rxs))
+	}
+	// One event per distinct arrival instant. Nothing else schedules
+	// during a launch, so no other event falls between its receivers in
+	// (at, seq) order (DESIGN.md §9).
+	var buf [4]sim.Time // two instants at the paper's range
+	ends := buf[:0]
+	for _, ri := range rxs {
+		rx := m.radios[ri]
+		end := m.deliver(fo, rx, origin.Dist(rx.pos), info)
+		if !slices.Contains(ends, end) {
+			ends = append(ends, end)
+			m.sched.At(end, fo.fire)
 		}
+	}
+	fo.instants = len(ends)
+	if fo.instants == 0 {
+		m.putFanout(fo)
 	}
 	for _, t := range m.taps {
 		t(origin, f, info)
@@ -482,92 +508,120 @@ func (m *Medium) launch(origin geo.Point, sender *Radio, f Frame) TxInfo {
 	return info
 }
 
-// pending is one in-flight delivery: the arrival record plus everything
-// the reception callback needs. Records are pooled on the medium, and
-// fire is bound to deliverNow exactly once (at pool-entry creation), so
-// a steady-state delivery schedules with zero heap allocations.
-type pending struct {
-	m         *Medium
+// fanout is one launch's receivers, in ascending radio index, plus the
+// frame they all receive. It fires one scheduler event per distinct
+// arrival instant; each event walks the receivers arriving at that
+// instant. Records are pooled on the medium, and fire is bound to
+// deliverNow once, when the record is created, so a steady-state launch
+// allocates nothing.
+type fanout struct {
+	m     *Medium
+	frame Frame
+	rx    []delivery
+	// instants counts the arrival-instant events still to fire; the last
+	// one returns the record to the pool.
+	instants int
+	fire     func()
+}
+
+// delivery is one receiver's share of a fanout: its arrival record
+// (linked into rx.inflight for collision, half-duplex and Busy checks)
+// and its own register timestamp and ranging measurement.
+type delivery struct {
 	rx        *Radio
 	arr       arrival
-	frame     Frame
 	measured  float64
 	firstByte sim.Time
-	end       sim.Time
-	fire      func()
 }
 
-func (m *Medium) getPending() *pending {
-	if n := len(m.pendFree); n > 0 {
-		p := m.pendFree[n-1]
-		m.pendFree[n-1] = nil
-		m.pendFree = m.pendFree[:n-1]
-		return p
+func (m *Medium) getFanout() *fanout {
+	if n := len(m.fanFree); n > 0 {
+		fo := m.fanFree[n-1]
+		m.fanFree[n-1] = nil
+		m.fanFree = m.fanFree[:n-1]
+		return fo
 	}
-	p := &pending{m: m}
-	p.fire = p.deliverNow
-	return p
+	fo := &fanout{m: m}
+	fo.fire = fo.deliverNow
+	return fo
 }
 
-func (m *Medium) deliver(rx *Radio, origin geo.Point, trueDist float64, f Frame, info TxInfo) {
+func (m *Medium) putFanout(fo *fanout) {
+	fo.frame = Frame{} // drop the Data reference while pooled
+	fo.rx = fo.rx[:0]
+	m.fanFree = append(m.fanFree, fo)
+}
+
+// deliver resolves rx's arrival of the launch: collision and half-duplex
+// marking against what rx already has in flight, then the jitter and
+// ranging draws, in that order. It returns the arrival instant.
+func (m *Medium) deliver(fo *fanout, rx *Radio, trueDist float64, info TxInfo) sim.Time {
 	prop := propagation(trueDist)
 	span := interval{info.AirStart + prop, info.AirEnd + prop}
-	p := m.getPending()
-	p.rx = rx
-	p.arr = arrival{span: span}
-	a := &p.arr
+	corrupted := false
 	// Collision: overlapping arrivals corrupt each other ("node B either
 	// receives the original signal or receives nothing in case of
 	// collision").
 	for _, other := range rx.inflight {
 		if overlaps(other.span, span) {
-			if !other.corrupted {
-				other.corrupted = true
-			}
-			a.corrupted = true
+			other.corrupted = true
+			corrupted = true
 			m.stats.Collisions++
 		}
 	}
-	// Half-duplex: a receiver that is transmitting misses the frame.
-	rx.pruneTx(m.sched.Now())
+	// Half-duplex: a receiver that is transmitting misses the frame. An
+	// interval that ended by now cannot overlap a span starting at or
+	// after now, so rx.tx needs no pruning here; Transmit and Busy prune.
 	if rx.transmittingDuring(span) {
-		a.corrupted = true
+		corrupted = true
 		m.stats.HalfDuplex++
 	}
-	rx.inflight = append(rx.inflight, a)
-
 	// t2/t4: first byte available in the receiving register one
 	// byte-time plus propagation plus hardware delay after air start.
-	p.frame = f
-	p.firstByte = info.AirStart + CyclesPerByte + prop + m.cfg.Jitter.draw(m.src)
-	p.measured = m.cfg.Ranging.Measure(trueDist+f.RangeBias, m.src)
-	p.end = span.end
-
-	m.sched.At(span.end, p.fire)
+	firstByte := info.AirStart + CyclesPerByte + prop + m.cfg.Jitter.draw(m.src)
+	measured := m.cfg.Ranging.Measure(trueDist+fo.frame.RangeBias, m.src)
+	// launch gave fo.rx room for every receiver, so &d.arr never moves.
+	fo.rx = fo.rx[:len(fo.rx)+1]
+	d := &fo.rx[len(fo.rx)-1]
+	d.rx = rx
+	d.arr = arrival{span: span, corrupted: corrupted}
+	d.measured = measured
+	d.firstByte = firstByte
+	rx.inflight = append(rx.inflight, &d.arr)
+	return span.end
 }
 
-// deliverNow completes one arrival: it unhooks the arrival record,
-// returns the pending record to the pool (the Reception is copied out
-// first, so the handler may transmit and reuse it immediately), and
-// hands uncorrupted frames to the receiver.
-func (p *pending) deliverNow() {
-	m, rx := p.m, p.rx
-	rec := Reception{
-		Frame:         p.frame,
-		MeasuredDist:  p.measured,
-		FirstByteSPDR: p.firstByte,
-		End:           p.end,
+// deliverNow fires one arrival instant of a fanout. It walks the
+// receivers arriving now in ascending radio index, reading each
+// arrival's corrupted flag and unhooking it at that receiver's turn,
+// then handing uncorrupted frames to the handler. A handler that
+// transmits here only adds arrivals that start at or after now, so it
+// cannot corrupt the later receivers of this instant.
+func (fo *fanout) deliverNow() {
+	m := fo.m
+	now := m.sched.Now()
+	for i := range fo.rx {
+		d := &fo.rx[i]
+		if d.arr.span.end != now {
+			continue
+		}
+		rx, corrupted := d.rx, d.arr.corrupted
+		rx.removeInflight(&d.arr)
+		if corrupted || rx.handler == nil {
+			continue
+		}
+		m.stats.Deliveries++
+		rx.handler(Reception{
+			Frame:         fo.frame,
+			MeasuredDist:  d.measured,
+			FirstByteSPDR: d.firstByte,
+			End:           now,
+		})
 	}
-	corrupted := p.arr.corrupted
-	rx.removeInflight(&p.arr)
-	p.rx = nil
-	p.frame = Frame{} // drop the Data reference while pooled
-	m.pendFree = append(m.pendFree, p)
-	if corrupted || rx.handler == nil {
-		return
+	fo.instants--
+	if fo.instants == 0 {
+		m.putFanout(fo)
 	}
-	m.stats.Deliveries++
-	rx.handler(rec)
 }
 
 func (r *Radio) removeInflight(target *arrival) {

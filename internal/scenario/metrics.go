@@ -54,7 +54,10 @@ func (r *RevocationMetrics) Merge(o RevocationMetrics) {
 type Metrics struct {
 	// Runs is the number of simulation runs folded into this snapshot.
 	Runs int `json:"runs"`
-	// Sim is the event-scheduler snapshot.
+	// Sim is the event-scheduler snapshot. The radio schedules one event
+	// per distinct arrival instant of a frame (one or two at the paper's
+	// range), not one per receiver, so Sim counts arrival instants and
+	// timers; Radio.Deliveries counts receptions.
 	Sim sim.Stats `json:"sim"`
 	// Radio is the shared medium's counters.
 	Radio phy.Stats `json:"radio"`
@@ -73,12 +76,14 @@ type Metrics struct {
 	// Revocation counts base-station and uplink activity.
 	Revocation RevocationMetrics `json:"revocation"`
 	// QueueDepth is the scheduler's standing event population: the queue
-	// size observed after every schedule. Identical for the wheel and
-	// heap queues (both fire the same event sequence), so it merges
-	// across queue choices.
+	// size observed after every schedule, where a frame in flight holds
+	// one event per arrival instant. Identical for the wheel and heap
+	// queues (both fire the same event sequence), so it merges across
+	// queue choices.
 	QueueDepth *metrics.Histogram `json:"queue_depth,omitempty"`
 	// Phases is the per-phase breakdown (announce/collude/detect/
-	// localize/drain) in virtual time.
+	// localize/drain) in virtual time. A phase's Events counts scheduler
+	// events, so a frame's deliveries count once per arrival instant.
 	Phases []metrics.Span `json:"phases,omitempty"`
 }
 
