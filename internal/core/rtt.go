@@ -105,7 +105,7 @@ func measureRTTBatch(trials int, pairDist float64, jitter phy.Jitter, seed uint6
 	frame := func() phy.Frame { return phy.Frame{Data: make([]byte, 16)} }
 
 	b.SetHandler(func(rec phy.Reception) {
-		t2 = rec.FirstByteSPDR
+		t2 = rec.FirstByteSPDR()
 		// Modest randomized turnaround, standing in for MAC/processing
 		// delay; it cancels out of the RTT by construction.
 		delay := sim.Time(1000 + src.Intn(20000))
@@ -116,7 +116,7 @@ func measureRTTBatch(trials int, pairDist float64, jitter phy.Jitter, seed uint6
 	})
 	var kick func()
 	a.SetHandler(func(rec phy.Reception) {
-		t4 := rec.FirstByteSPDR
+		t4 := rec.FirstByteSPDR()
 		samples = append(samples, float64(t4-t1)-float64(t3-t2))
 		kick()
 	})

@@ -206,8 +206,8 @@ func sortInts(a []int) {
 // space: unlike Index it needs no bounds up front, accepts points
 // anywhere (including outside any nominal field, e.g. wormhole
 // endpoints), and supports Add after construction. The radio medium
-// uses it to build per-radio neighbour tables and to resolve radio-less
-// injections in O(neighbors) instead of O(N).
+// uses it to build the link tables of radios and fixed injection points
+// in O(neighbors) instead of O(N).
 //
 // Determinism contract: Candidates visits grid cells in a fixed order
 // (row-major over the query box) and then sorts the gathered indices

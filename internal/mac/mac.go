@@ -107,8 +107,12 @@ type Endpoint struct {
 	src     *rng.Source
 	handler Handler
 	primary ident.NodeID
-	seq     uint16
-	stats   Stats
+	// multi marks an endpoint with identities beyond its primary (a
+	// beacon's detecting pseudonyms); only those scan the store to
+	// address a packet.
+	multi bool
+	seq   uint16
+	stats Stats
 }
 
 // NewEndpoint binds a link layer to a radio. The store's first identity is
@@ -124,6 +128,7 @@ func NewEndpoint(sched *sim.Scheduler, radio *phy.Radio, store *crypto.Store, sr
 		store:   store,
 		src:     src,
 		primary: ids[0],
+		multi:   len(ids) > 1,
 	}
 	radio.SetHandler(e.onReception)
 	return e
@@ -147,14 +152,15 @@ func (e *Endpoint) NextSeq() uint16 {
 	return e.seq
 }
 
-func (e *Endpoint) keyFor(local, peer ident.NodeID) (crypto.Key, bool) {
+// keyFor returns the key between local identity local and peer; either
+// end may be the broadcast address. The store panics on a pairwise key
+// for an identity it does not own: sending under one is a programming
+// error, and onReception has already checked the addressee.
+func (e *Endpoint) keyFor(local, peer ident.NodeID) crypto.Key {
 	if peer == ident.Broadcast || local == ident.Broadcast {
-		return e.store.BroadcastKey(), true
+		return e.store.BroadcastKey()
 	}
-	if !e.store.Owns(local) {
-		return crypto.Key{}, false
-	}
-	return e.store.PairwiseKey(local, peer), true
+	return e.store.PairwiseKey(local, peer)
 }
 
 // Send queues payload for dst with CSMA. The sequence number used is
@@ -197,10 +203,7 @@ func (e *Endpoint) attempt(srcID, dst ident.NodeID, seq uint16, payload any, opt
 		return
 	}
 
-	key, ok := e.keyFor(srcID, dst)
-	if !ok {
-		panic("mac: sending under unowned identity " + srcID.String())
-	}
+	key := e.keyFor(srcID, dst)
 	sizing, err := packet.Encode(srcID, dst, seq, payload, key)
 	if err != nil {
 		panic("mac: unencodable payload: " + err.Error())
@@ -244,13 +247,13 @@ func (e *Endpoint) onReception(rec phy.Reception) {
 	switch {
 	case h.Dst == ident.Broadcast:
 		local = ident.Broadcast
-	case e.store.Owns(h.Dst):
+	case h.Dst == e.primary, e.multi && e.store.Owns(h.Dst):
 		local = h.Dst
 	default:
 		e.stats.NotForUs++
 		return
 	}
-	key, _ := e.keyFor(local, h.Src)
+	key := e.keyFor(local, h.Src)
 	pkt, err := packet.Decode(rec.Frame.Data, key)
 	if err != nil {
 		e.stats.AuthFail++
@@ -263,9 +266,9 @@ func (e *Endpoint) onReception(rec phy.Reception) {
 	e.handler(Delivery{
 		Pkt:           pkt,
 		Local:         local,
-		MeasuredDist:  rec.MeasuredDist,
-		FirstByteSPDR: rec.FirstByteSPDR,
-		End:           rec.End,
+		MeasuredDist:  rec.MeasuredDist(),
+		FirstByteSPDR: rec.FirstByteSPDR(),
+		End:           rec.End(),
 		Truth: Truth{
 			WormholeMark: rec.Frame.WormholeMark,
 			Replayed:     rec.Frame.Replayed,

@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"math"
 	"testing"
 
 	"beaconsec/internal/crypto"
@@ -173,7 +174,7 @@ func TestForgedPacketRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.medium.Inject(geo.Point{X: 0, Y: 0}, phy.Frame{Data: data})
+	f.medium.Inject(f.medium.NewEmitter(geo.Point{X: 0, Y: 0}), phy.Frame{Data: data})
 	if err := f.sched.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +237,9 @@ func TestCSMADefersUntilIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	jammer := f.medium.NewEmitter(geo.Point{X: 50, Y: 0})
 	f.sched.At(0, func() {
-		f.medium.Inject(geo.Point{X: 50, Y: 0}, phy.Frame{Data: data})
+		f.medium.Inject(jammer, phy.Frame{Data: data})
 	})
 	var sentOK bool
 	var sentInfo phy.TxInfo
@@ -326,7 +328,7 @@ func TestTruthPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.medium.Inject(geo.Point{X: 0, Y: 0}, phy.Frame{Data: data, Replayed: true, WormholeMark: true})
+	f.medium.Inject(f.medium.NewEmitter(geo.Point{X: 0, Y: 0}), phy.Frame{Data: data, Replayed: true, WormholeMark: true})
 	if err := f.sched.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -352,10 +354,11 @@ func TestCSMAExhaustionDropsFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	frameTime := phy.FrameAirTime(len(data))
+	jammer := f.medium.NewEmitter(geo.Point{X: 50, Y: 0})
 	for i := 0; i < 200; i++ {
 		at := sim.Time(i) * frameTime
 		f.sched.At(at, func() {
-			f.medium.Inject(geo.Point{X: 50, Y: 0}, phy.Frame{Data: data})
+			f.medium.Inject(jammer, phy.Frame{Data: data})
 		})
 	}
 	dropped := false
@@ -388,5 +391,56 @@ func TestSendSeqMatchesCallerSequence(t *testing.T) {
 	}
 	if got != seq {
 		t.Errorf("delivered seq %d, want %d", got, seq)
+	}
+}
+
+// BenchmarkReceiveFanout measures one unicast frame at the paper's
+// density: 56 endpoints within range of the sender (the mean audience of
+// a frame in the paper run), every ninth a beacon carrying its 8
+// detecting pseudonyms, and one addressee. An op is the sender's encode
+// and sign, the radio fan-out, 55 NotForUs rejections and one
+// authenticated delivery.
+func BenchmarkReceiveFanout(b *testing.B) {
+	const receivers = 56
+	f := newFixture(150)
+	tx := f.endpoint(geo.Point{X: 0, Y: 0}, 1)
+	pos := rng.New(3)
+	var dst ident.NodeID
+	delivered := 0
+	for i := 0; i < receivers; i++ {
+		// Uniform over the disk of radius 150 ft around the sender.
+		r, theta := 150*math.Sqrt(pos.Float64()), 2*math.Pi*pos.Float64()
+		ids := []ident.NodeID{ident.NodeID(100 + i)}
+		if i%9 == 0 {
+			for k := 0; k < 8; k++ {
+				ids = append(ids, ident.NodeID(1000+8*i+k))
+			}
+		}
+		ep := f.endpoint(geo.Point{X: r * math.Cos(theta), Y: r * math.Sin(theta)}, ids...)
+		ep.SetHandler(func(Delivery) { delivered++ })
+		if i == receivers/2 {
+			dst = ids[0]
+		}
+	}
+	send := func() {
+		tx.Send(dst, packet.BeaconRequest{}, SendOptions{})
+		if err := f.sched.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ { // warm the medium's pools
+		send()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
+	}
+	b.StopTimer()
+	if want := 100 + b.N; delivered != want {
+		b.Fatalf("addressee received %d frames, want %d", delivered, want)
+	}
+	if s := f.medium.Stats(); s.Deliveries != uint64(receivers*(100+b.N)) {
+		b.Fatalf("medium delivered %d receptions, want %d", s.Deliveries, receivers*(100+b.N))
 	}
 }

@@ -26,11 +26,12 @@ type ReplayAttacker struct {
 
 	sched  *sim.Scheduler
 	medium *phy.Medium
+	exit   *phy.Emitter
 }
 
 // NewReplayAttacker installs a replay attacker on the medium.
 func NewReplayAttacker(sched *sim.Scheduler, medium *phy.Medium, pos geo.Point, extraDelay sim.Time) *ReplayAttacker {
-	a := &ReplayAttacker{Pos: pos, ExtraDelay: extraDelay, sched: sched, medium: medium}
+	a := &ReplayAttacker{Pos: pos, ExtraDelay: extraDelay, sched: sched, medium: medium, exit: medium.NewEmitter(pos)}
 	medium.AddTap(a.tap)
 	return a
 }
@@ -55,6 +56,6 @@ func (a *ReplayAttacker) tap(origin geo.Point, f phy.Frame, info phy.TxInfo) {
 	a.Replayed++
 	// Store-and-forward: cannot start before hearing the whole frame.
 	a.sched.At(info.AirEnd+a.ExtraDelay, func() {
-		a.medium.Inject(a.Pos, replay)
+		a.medium.Inject(a.exit, replay)
 	})
 }

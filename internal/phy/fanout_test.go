@@ -25,7 +25,7 @@ func TestOneEventPerArrivalInstant(t *testing.T) {
 	xs := []float64{100, 10, 120, 30, 140, 50, 80, 60} // far, near, …
 	for i, x := range xs {
 		m.NewRadio(geo.Point{X: x, Y: 0}).SetHandler(func(rec Reception) {
-			order = append(order, heard{i + 1, rec.End})
+			order = append(order, heard{i + 1, rec.End()})
 		})
 	}
 	info := m.Transmit(tx, frame(16))

@@ -3,6 +3,7 @@ package phy
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"beaconsec/internal/crypto"
@@ -30,13 +31,14 @@ type receptionLog struct {
 // observes. All rng streams are seeded identically across instances, so
 // two mediums differing only in BruteForce must behave byte-identically.
 type loggedMedium struct {
-	sched  *sim.Scheduler
-	m      *Medium
-	radios []*Radio
-	log    []receptionLog
+	sched    *sim.Scheduler
+	m        *Medium
+	radios   []*Radio
+	emitters []*Emitter
+	log      []receptionLog
 }
 
-func newLoggedMedium(positions []geo.Point, brute bool) *loggedMedium {
+func newLoggedMedium(positions, emitters []geo.Point, brute bool) *loggedMedium {
 	sched := sim.New()
 	lm := &loggedMedium{sched: sched, m: NewMedium(sched, rng.New(42), Config{
 		Range:      150,
@@ -45,6 +47,9 @@ func newLoggedMedium(positions []geo.Point, brute bool) *loggedMedium {
 	})}
 	for _, p := range positions {
 		lm.add(p)
+	}
+	for _, p := range emitters {
+		lm.emitters = append(lm.emitters, lm.m.NewEmitter(p))
 	}
 	return lm
 }
@@ -58,22 +63,24 @@ func (lm *loggedMedium) add(p geo.Point) {
 		lm.log = append(lm.log, receptionLog{
 			radio:     i,
 			data0:     rec.Frame.Data[0],
-			measured:  rec.MeasuredDist,
-			firstByte: rec.FirstByteSPDR,
-			end:       rec.End,
+			measured:  rec.MeasuredDist(),
+			firstByte: rec.FirstByteSPDR(),
+			end:       rec.End(),
 		})
 	})
 	lm.radios = append(lm.radios, r)
 }
 
-// TestGridDeliveryMatchesBruteForce pins the tentpole contract: the
-// neighbour tables (Transmit) and the spatial grid (Inject) resolve
-// exactly the receivers the historical O(N) scan did, in the same
-// order, consuming the medium's rng stream identically — so every
-// downstream byte (measurements, timestamps, event order) is unchanged.
-// Radios registered mid-run, after in-range radios have built their
-// tables, must be appended to those tables; an isolated radio keeps its
-// empty table rather than rebuilding it on every transmit.
+// TestGridDeliveryMatchesBruteForce pins the link-table contract: the
+// tables of radios (Transmit) and emitters (Inject) resolve exactly the
+// receivers the historical O(N) scan did, in the same order and with the
+// same propagation delays, consuming the medium's rng stream identically
+// — so every downstream byte (measurements, timestamps, event order) is
+// unchanged. Injection points repeat, as wormhole exits and replay
+// attackers do. Radios registered mid-run, after in-range radios and
+// emitters have built their tables, must be appended to those tables;
+// an isolated radio keeps its empty table rather than rebuilding it on
+// every transmit; and each launch point builds its table exactly once.
 func TestGridDeliveryMatchesBruteForce(t *testing.T) {
 	rnd := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 10; trial++ {
@@ -95,12 +102,20 @@ func TestGridDeliveryMatchesBruteForce(t *testing.T) {
 		iso := n - 1
 		positions[iso] = geo.Point{X: 5000, Y: 5000}
 
+		// Six injection points shared by the random injections (about
+		// ten), then one 50 ft from each late registration below.
+		emitters := make([]geo.Point, 6, 9)
+		for i := range emitters {
+			emitters[i] = geo.Point{X: 1200 * rnd.Float64(), Y: 1200 * rnd.Float64()}
+		}
+
 		type action struct {
-			fromRadio int       // -1: Inject from origin, or register
-			origin    geo.Point // Inject origin, or where NewRadio registers
-			register  bool
-			at        sim.Time
-			size      int
+			fromRadio   int       // -1: Inject from fromEmitter, or register
+			fromEmitter int       // index into emitters
+			origin      geo.Point // where NewRadio registers
+			register    bool
+			at          sim.Time
+			size        int
 		}
 		actions := make([]action, 40)
 		for i := range actions {
@@ -108,33 +123,37 @@ func TestGridDeliveryMatchesBruteForce(t *testing.T) {
 			if rnd.Intn(4) > 0 {
 				a.fromRadio = rnd.Intn(n)
 			} else {
-				a.origin = geo.Point{X: 1200 * rnd.Float64(), Y: 1200 * rnd.Float64()}
+				a.fromEmitter = rnd.Intn(len(emitters))
 			}
 			actions[i] = a
 		}
 		for _, at := range []sim.Time{100_000, 2_100_000, 4_100_000} {
 			actions = append(actions, action{fromRadio: iso, at: at, size: 12})
 		}
-		// Late registration: host transmits (building its table), then
-		// radio n+k registers within range of it, then both transmit. The
-		// registration times are ordered, so the late radio's index is
-		// n+k in both runs.
+		// Late registration: host radio and emitter each launch (building
+		// their tables), then radio n+k registers within range of both,
+		// then all three launch. The registration times are ordered, so
+		// the late radio's index is n+k in both runs.
 		for k := 0; k < 3; k++ {
 			host := rnd.Intn(iso)
 			reg := sim.Time(1_000_000 * (k + 1))
 			late := positions[host]
 			late.X += 100 * rnd.Float64()
 			late.Y += 100 * rnd.Float64()
+			em := len(emitters)
+			emitters = append(emitters, geo.Point{X: late.X - 40, Y: late.Y + 30})
 			actions = append(actions,
 				action{fromRadio: host, at: reg - 500_000, size: 10},
+				action{fromRadio: -1, fromEmitter: em, at: reg - 400_000, size: 9},
 				action{fromRadio: -1, register: true, origin: late, at: reg},
 				action{fromRadio: host, at: reg + 500_000, size: 11},
+				action{fromRadio: -1, fromEmitter: em, at: reg + 550_000, size: 12},
 				action{fromRadio: n + k, at: reg + 600_000, size: 13},
 			)
 		}
 
 		run := func(brute bool) *loggedMedium {
-			lm := newLoggedMedium(positions, brute)
+			lm := newLoggedMedium(positions, emitters, brute)
 			for _, a := range actions {
 				a := a
 				lm.sched.At(a.at, func() {
@@ -147,7 +166,7 @@ func TestGridDeliveryMatchesBruteForce(t *testing.T) {
 					if a.fromRadio >= 0 {
 						lm.m.Transmit(lm.radios[a.fromRadio], f)
 					} else {
-						lm.m.Inject(a.origin, f)
+						lm.m.Inject(lm.emitters[a.fromEmitter], f)
 					}
 				})
 			}
@@ -170,29 +189,47 @@ func TestGridDeliveryMatchesBruteForce(t *testing.T) {
 					trial, i, table.log[i], brute.log[i])
 			}
 		}
-		if r := table.radios[iso]; !r.nbrsBuilt || len(r.nbrs) != 0 {
+		if r := table.radios[iso]; !r.built || len(r.tab) != 0 {
 			t.Fatalf("trial %d: isolated radio table built=%v len=%d, want built and empty",
-				trial, r.nbrsBuilt, len(r.nbrs))
+				trial, r.built, len(r.tab))
 		}
-		senders := map[int]bool{}
+		senders, injectors := map[int]bool{}, map[int]bool{}
 		for _, a := range actions {
-			if a.fromRadio >= 0 {
+			switch {
+			case a.fromRadio >= 0:
 				senders[a.fromRadio] = true
+			case !a.register:
+				injectors[a.fromEmitter] = true
 			}
 		}
-		if table.m.builds != len(senders) {
-			t.Fatalf("trial %d: %d table builds for %d distinct senders, want one each",
-				trial, table.m.builds, len(senders))
+		if want := len(senders) + len(injectors); table.m.builds != want {
+			t.Fatalf("trial %d: %d table builds for %d distinct senders and %d emitters, want one each",
+				trial, table.m.builds, len(senders), len(injectors))
+		}
+		// Every table built, then extended by the late registrations, must
+		// equal a fresh scan from its launch point.
+		for i, r := range table.radios {
+			if r.built && !slices.Equal(r.tab, table.m.scan(r.pos, r)) {
+				t.Fatalf("trial %d: radio %d table %v, scan %v", trial, i, r.tab, table.m.scan(r.pos, r))
+			}
+		}
+		for i, e := range table.emitters {
+			if e.built != injectors[i] {
+				t.Fatalf("trial %d: emitter %d built=%v, injected=%v", trial, i, e.built, injectors[i])
+			}
+			if e.built && !slices.Equal(e.tab, table.m.scan(e.pos, nil)) {
+				t.Fatalf("trial %d: emitter %d table %v, scan %v", trial, i, e.tab, table.m.scan(e.pos, nil))
+			}
 		}
 	}
 }
 
 // TestTransmitSteadyStateZeroAlloc pins the pooling work: once the
-// event free list, fanout pool, scratch buffers and neighbour table
+// event free list, fanout pool, scratch buffers and link tables
 // are warm, a transmit→deliver cycle performs zero heap allocations
 // (the frame buffer itself is owned and reused by the caller here, as
-// the benchmarks and batch paths do). The Inject cycle pins the grid
-// path, which radio-less launches still take.
+// the benchmarks and batch paths do). The Inject cycle pins an
+// emitter's table, which radio-less launches walk.
 func TestTransmitSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector perturbs allocation behavior; pin not meaningful")
@@ -203,6 +240,7 @@ func TestTransmitSteadyStateZeroAlloc(t *testing.T) {
 		m.NewRadio(geo.Point{X: float64(i), Y: 10})
 	}
 	buf := make([]byte, 16)
+	exit := m.NewEmitter(geo.Point{X: 20, Y: 0})
 	for _, c := range []struct {
 		name  string
 		cycle func()
@@ -212,7 +250,7 @@ func TestTransmitSteadyStateZeroAlloc(t *testing.T) {
 			sched.Run()
 		}},
 		{"inject", func() {
-			m.Inject(geo.Point{X: 20, Y: 0}, Frame{Data: buf})
+			m.Inject(exit, Frame{Data: buf})
 			sched.Run()
 		}},
 	} {
@@ -277,9 +315,9 @@ func TestSignEncodeDeliverVerifyZeroAlloc(t *testing.T) {
 // scheduler drain of its deliveries) against nRadios radios deployed at
 // the paper's density — the field grows with N, as the north-star
 // scaling story demands. Neighbor counts therefore stay constant
-// (~80), so a Transmit walks an O(neighbors) table and an Inject from
-// the same point an O(neighbors) grid query, while the brute-force path
-// pays the O(N) scan. Pools are warmed before the timer starts so the
+// (~80), so a Transmit walks its radio's O(neighbors) link table and
+// an Inject from the same point its emitter's, while the brute-force
+// path pays the O(N) scan. Pools are warmed before the timer starts so the
 // reported allocs/op is the steady state. events/op is the scheduler
 // events one launch fires: one per distinct arrival instant, at most two
 // at the 150 ft range.
@@ -298,10 +336,11 @@ func benchTransmit(b *testing.B, nRadios int, brute, inject bool) {
 		r.SetHandler(func(Reception) {})
 	}
 	tx := m.NewRadio(geo.Point{X: side / 2, Y: side / 2})
+	exit := m.NewEmitter(tx.Pos())
 	buf := make([]byte, 24)
 	launch := func() {
 		if inject {
-			m.Inject(tx.Pos(), Frame{Data: buf})
+			m.Inject(exit, Frame{Data: buf})
 		} else {
 			m.Transmit(tx, Frame{Data: buf})
 		}

@@ -62,9 +62,14 @@ func (j Jitter) draw(src *rng.Source) sim.Time {
 }
 
 // Ranging converts a true transmitter-receiver distance into the distance
-// the receiver's RSSI measurement yields.
+// the receiver's RSSI measurement yields. A measurement is split in two:
+// Error draws the distance-independent error, at reception time, and
+// Apply combines it with the true distance, whenever the measurement is
+// read. For every model, Apply(d, Error(src)) is the measurement made in
+// one step: the same draws from src and the same float expression.
 type Ranging interface {
-	Measure(trueDist float64, src *rng.Source) float64
+	Error(src *rng.Source) float64
+	Apply(trueDist, err float64) float64
 }
 
 // BoundedUniform adds a uniform error in [-MaxError, +MaxError]; the paper
@@ -74,14 +79,13 @@ type BoundedUniform struct {
 	MaxError float64
 }
 
-// Measure implements Ranging.
-func (b BoundedUniform) Measure(trueDist float64, src *rng.Source) float64 {
-	d := trueDist + src.Uniform(-b.MaxError, b.MaxError)
-	if d < 0 {
-		d = 0
-	}
-	return d
+// Error implements Ranging.
+func (b BoundedUniform) Error(src *rng.Source) float64 {
+	return src.Uniform(-b.MaxError, b.MaxError)
 }
+
+// Apply implements Ranging; measurements clamp at 0.
+func (BoundedUniform) Apply(trueDist, err float64) float64 { return clampedSum(trueDist, err) }
 
 // TruncatedGaussian adds N(0, Sigma) error truncated to ±MaxError,
 // modelling RSSI ranging with log-normal shadowing whose outliers are
@@ -91,8 +95,8 @@ type TruncatedGaussian struct {
 	MaxError float64
 }
 
-// Measure implements Ranging.
-func (g TruncatedGaussian) Measure(trueDist float64, src *rng.Source) float64 {
+// Error implements Ranging.
+func (g TruncatedGaussian) Error(src *rng.Source) float64 {
 	e := g.Sigma * src.NormFloat64()
 	if e > g.MaxError {
 		e = g.MaxError
@@ -100,18 +104,30 @@ func (g TruncatedGaussian) Measure(trueDist float64, src *rng.Source) float64 {
 	if e < -g.MaxError {
 		e = -g.MaxError
 	}
-	d := trueDist + e
+	return e
+}
+
+// Apply implements Ranging; measurements clamp at 0.
+func (TruncatedGaussian) Apply(trueDist, err float64) float64 { return clampedSum(trueDist, err) }
+
+func clampedSum(trueDist, err float64) float64 {
+	d := trueDist + err
 	if d < 0 {
 		d = 0
 	}
 	return d
 }
 
-// Perfect is error-free ranging, for tests and theoretical baselines.
+// Perfect is error-free ranging, for tests and theoretical baselines. It
+// draws nothing and does not clamp: a bias below -trueDist measures
+// negative.
 type Perfect struct{}
 
-// Measure implements Ranging.
-func (Perfect) Measure(trueDist float64, _ *rng.Source) float64 { return trueDist }
+// Error implements Ranging.
+func (Perfect) Error(*rng.Source) float64 { return 0 }
+
+// Apply implements Ranging.
+func (Perfect) Apply(trueDist, _ float64) float64 { return trueDist }
 
 // Interface compliance.
 var (
@@ -157,18 +173,32 @@ type TxInfo struct {
 	FirstByteSPDR sim.Time
 }
 
-// Reception is what a radio's handler receives for an uncorrupted frame.
+// Reception is what a radio's handler receives for an uncorrupted frame:
+// a small handle into the medium's pooled delivery records. It is valid
+// only during the handler call; the records are reused once the
+// frame's last arrival instant has fired, so a handler that needs a
+// value later copies it out. Frame is shared by every receiver of the
+// launch and must not be modified.
 type Reception struct {
-	Frame Frame
-	// MeasuredDist is the RSSI-derived distance to the actual transmit
-	// origin, including any attacker bias and the ranging error.
-	MeasuredDist float64
-	// FirstByteSPDR is the receiver-side register timestamp of the first
-	// byte (the paper's t2 for requests, t4 for replies).
-	FirstByteSPDR sim.Time
-	// End is when the frame finished arriving.
-	End sim.Time
+	Frame *Frame
+	fo    *fanout
+	d     *delivery
 }
+
+// MeasuredDist is the RSSI-derived distance to the actual transmit
+// origin, including any attacker bias and the ranging error. The error
+// was drawn at delivery; the exact distance is computed here, on read,
+// because most receivers discard the frame without looking.
+func (r Reception) MeasuredDist() float64 {
+	return r.fo.m.cfg.Ranging.Apply(r.fo.origin.Dist(r.d.rx.pos)+r.Frame.RangeBias, r.d.rangeErr)
+}
+
+// FirstByteSPDR is the receiver-side register timestamp of the first
+// byte (the paper's t2 for requests, t4 for replies).
+func (r Reception) FirstByteSPDR() sim.Time { return r.d.firstByte }
+
+// End is when the frame finished arriving.
+func (r Reception) End() sim.Time { return r.d.arr.span.end }
 
 // Handler consumes receptions.
 type Handler func(Reception)
@@ -188,21 +218,49 @@ type arrival struct {
 	corrupted bool
 }
 
+// link is one receiver of a fixed launch point: the receiving radio's
+// index and the propagation delay over their exact distance, both
+// fixed for the whole run.
+type link struct {
+	rx   int32
+	prop uint32
+}
+
+// links is the receiver table of a fixed launch point: every radio within
+// range of pos, less the sending radio itself, in ascending index. Radios
+// never move, so it is built once, on the point's first launch (built),
+// and extended only by NewRadio.
+type links struct {
+	pos   geo.Point
+	tab   []link
+	built bool
+}
+
+// extend appends radio idx at rxPos if it is in range of l's launch
+// point. Only NewRadio calls it, with the largest index so far, so the
+// table stays ascending.
+func (l *links) extend(rxPos geo.Point, idx int32, rangeFt float64) {
+	if l.built {
+		l.tab = appendLink(l.tab, l.pos, rxPos, idx, rangeFt)
+	}
+}
+
 // Radio is one node's transceiver at a fixed position.
 type Radio struct {
-	pos     geo.Point
+	links   // pos, and the receivers of this radio's transmissions
 	medium  *Medium
 	handler Handler
-	// nbrs lists, in ascending index, every other radio within range:
-	// the receivers of this radio's transmissions. Radios never move, so
-	// it is built once, on the first Transmit (nbrsBuilt), and extended
-	// only by NewRadio.
-	nbrs      []int32
-	nbrsBuilt bool
 	// inflight arrivals, for collision marking.
 	inflight []*arrival
 	// tx intervals for half-duplex suppression, pruned lazily.
 	tx []interval
+}
+
+// Emitter is a fixed radio-less injection point: a wormhole tunnel exit
+// or a replay attacker. It has no receiver and no half-duplex state, only
+// a receiver table, kept like a radio's.
+type Emitter struct {
+	links
 }
 
 // Pos returns the radio's true position.
@@ -266,27 +324,30 @@ type Config struct {
 	// Jitter is the SPDR hardware-delay model; the zero value selects
 	// DefaultJitter.
 	Jitter Jitter
-	// BruteForce forces transmissions to resolve receivers with the
-	// historical O(N) scan over all radios instead of the neighbour
-	// tables and the spatial grid. The paths are defined to be
-	// byte-identical (same receivers, same visit order, same rng draws);
-	// this switch exists so tests and benchmarks can pin that
-	// equivalence. Production callers leave it false.
+	// BruteForce forces launches to resolve receivers with the
+	// historical O(N) scan over all radios, computing each distance and
+	// propagation delay on the spot, instead of the link tables. The paths
+	// are defined to be byte-identical (same receivers, same visit order,
+	// same delays, same rng draws); this switch exists so tests and
+	// benchmarks can pin that equivalence. Production callers leave it
+	// false.
 	BruteForce bool
 }
 
 // Medium is the shared radio channel. It is bound to one sim.Scheduler and
 // is not safe for concurrent use (the simulation is single-threaded).
 type Medium struct {
-	sched   *sim.Scheduler
-	src     *rng.Source
-	cfg     Config
-	radios  []*Radio
-	grid    *geo.Grid // spatial index over radio positions; cell = Range
-	scratch []int32   // reusable receiver buffer for grid queries and scans
-	builds  int       // neighbour tables built; each radio's at most once
-	taps    []Tap
-	stats   Stats
+	sched    *sim.Scheduler
+	src      *rng.Source
+	cfg      Config
+	radios   []*Radio
+	emitters []*Emitter
+	grid     *geo.Grid // spatial index over radio positions; cell = Range
+	scratch  []int32   // reusable buffer for grid candidates
+	linkBuf  []link    // reusable buffer for table builds and scans
+	builds   int       // link tables built; each launch point's at most once
+	taps     []Tap
+	stats    Stats
 	// fanFree recycles fanout records (and their pre-bound fire
 	// closures) so steady-state delivery allocates nothing.
 	fanFree []*fanout
@@ -297,6 +358,9 @@ type Medium struct {
 func NewMedium(sched *sim.Scheduler, src *rng.Source, cfg Config) *Medium {
 	if cfg.Range <= 0 {
 		panic(fmt.Sprintf("phy: non-positive range %v", cfg.Range))
+	}
+	if propagation(cfg.Range) > math.MaxUint32 {
+		panic(fmt.Sprintf("phy: range %v ft overflows a link's propagation delay", cfg.Range))
 	}
 	if cfg.Ranging == nil {
 		cfg.Ranging = Perfect{}
@@ -314,71 +378,81 @@ func (m *Medium) Range() float64 { return m.cfg.Range }
 func (m *Medium) Stats() Stats { return m.stats }
 
 // NewRadio registers a radio at pos. Its index is the largest so far,
-// so appending it to every built neighbour table within range keeps
-// those tables in ascending order.
+// so appending it to every built link table within range, radios' and
+// emitters' alike, keeps those tables in ascending order.
 func (m *Medium) NewRadio(pos geo.Point) *Radio {
-	r := &Radio{pos: pos, medium: m}
+	r := &Radio{links: links{pos: pos}, medium: m}
 	idx := int32(len(m.radios))
-	m.scratch = m.grid.Candidates(pos, m.cfg.Range, m.scratch[:0])
-	for _, ri := range m.scratch {
-		o := m.radios[ri]
-		if !o.nbrsBuilt || o.pos.Dist(pos) > m.cfg.Range {
-			continue
+	// Deployments register every radio before the first launch, when
+	// there is no table to extend.
+	if m.builds > 0 {
+		m.scratch = m.grid.Candidates(pos, m.cfg.Range, m.scratch[:0])
+		for _, ri := range m.scratch {
+			m.radios[ri].extend(pos, idx, m.cfg.Range)
 		}
-		o.nbrs = append(o.nbrs, idx)
+		for _, e := range m.emitters {
+			e.extend(pos, idx, m.cfg.Range)
+		}
 	}
 	m.radios = append(m.radios, r)
 	m.grid.Add(pos) // grid index == position in m.radios
 	return r
 }
 
-// neighbours returns r's neighbour table, building it on first use from
-// the grid's in-range receivers of r's position, less r itself, so the
-// table holds exactly the receivers the brute-force scan would visit, in
-// its order.
-func (m *Medium) neighbours(r *Radio) []int32 {
-	if r.nbrsBuilt {
-		return r.nbrs
+// NewEmitter registers a fixed injection point at pos. Its link table is
+// built on its first Inject and extended by later NewRadio calls, as a
+// radio's is.
+func (m *Medium) NewEmitter(pos geo.Point) *Emitter {
+	e := &Emitter{links{pos: pos}}
+	m.emitters = append(m.emitters, e)
+	return e
+}
+
+// table returns the link table of launch point l, building it on first
+// use from the grid's candidates around l.pos, less the sending radio
+// self (nil for an emitter). Candidates come back in ascending radio
+// index and the in-range predicate is the scan's own, so the table holds
+// exactly the links the brute-force scan would produce, in its order.
+func (m *Medium) table(l *links, self *Radio) []link {
+	if l.built {
+		return l.tab
 	}
-	in := m.inRange(r.pos)
-	r.nbrs = make([]int32, 0, len(in)-1)
-	for _, ri := range in {
-		if m.radios[ri] != r {
-			r.nbrs = append(r.nbrs, ri)
+	m.scratch = m.grid.Candidates(l.pos, m.cfg.Range, m.scratch[:0])
+	buf := m.linkBuf[:0]
+	for _, ri := range m.scratch {
+		if rx := m.radios[ri]; rx != self {
+			buf = appendLink(buf, l.pos, rx.pos, ri, m.cfg.Range)
 		}
 	}
-	r.nbrsBuilt = true
+	m.linkBuf = buf
+	l.tab = append(make([]link, 0, len(buf)), buf...)
+	l.built = true
 	m.builds++
-	return r.nbrs
+	return l.tab
 }
 
 // scan is the brute-force receiver resolution: every radio but the
 // sender within range of origin, in ascending index.
-func (m *Medium) scan(origin geo.Point, sender *Radio) []int32 {
-	m.scratch = m.scratch[:0]
+func (m *Medium) scan(origin geo.Point, sender *Radio) []link {
+	buf := m.linkBuf[:0]
 	for i, rx := range m.radios {
-		if rx == sender || origin.Dist(rx.pos) > m.cfg.Range {
-			continue
+		if rx != sender {
+			buf = appendLink(buf, origin, rx.pos, int32(i), m.cfg.Range)
 		}
-		m.scratch = append(m.scratch, int32(i))
 	}
-	return m.scratch
+	m.linkBuf = buf
+	return buf
 }
 
-// inRange lists every radio within range of origin, from the grid.
-// Candidates come back in ascending radio index, and the in-range
-// predicate is the scan's own, so for a radio-less launch the list is
-// exactly scan's.
-func (m *Medium) inRange(origin geo.Point) []int32 {
-	m.scratch = m.grid.Candidates(origin, m.cfg.Range, m.scratch[:0])
-	in := m.scratch[:0]
-	for _, ri := range m.scratch {
-		if origin.Dist(m.radios[ri].pos) > m.cfg.Range {
-			continue
-		}
-		in = append(in, ri)
+// appendLink appends the link from origin to radio idx at rxPos if it
+// is within range. Every resolution path decides range and delay here,
+// from the same exact distance.
+func appendLink(tab []link, origin, rxPos geo.Point, idx int32, rangeFt float64) []link {
+	d := origin.Dist(rxPos)
+	if d > rangeFt {
+		return tab
 	}
-	return in
+	return append(tab, link{rx: idx, prop: uint32(propagation(d))})
 }
 
 // AddTap registers an attack-tooling tap invoked for every transmission.
@@ -412,7 +486,7 @@ func (m *Medium) Busy(r *Radio) bool {
 func (m *Medium) Transmit(r *Radio, f Frame) TxInfo {
 	now := m.sched.Now()
 	r.pruneTx(now)
-	info := m.launch(r.pos, r, f)
+	info := m.launch(&r.links, r, f)
 	r.tx = append(r.tx, interval{info.AirStart, info.AirEnd})
 	// Transmitting corrupts anything the sender was receiving.
 	for _, a := range r.inflight {
@@ -426,13 +500,15 @@ func (m *Medium) Transmit(r *Radio, f Frame) TxInfo {
 	return info
 }
 
-// Inject puts f on air from an arbitrary point, with no sending radio:
-// wormhole tunnel exits and replay attackers use this.
-func (m *Medium) Inject(origin geo.Point, f Frame) TxInfo {
-	return m.launch(origin, nil, f)
+// Inject puts f on air from emitter e, with no sending radio: wormhole
+// tunnel exits and replay attackers use this.
+func (m *Medium) Inject(e *Emitter, f Frame) TxInfo {
+	return m.launch(&e.links, nil, f)
 }
 
-func (m *Medium) launch(origin geo.Point, sender *Radio, f Frame) TxInfo {
+// launch puts f on air from launch point from, sent by radio sender (nil
+// for an emitter).
+func (m *Medium) launch(from *links, sender *Radio, f Frame) TxInfo {
 	if len(f.Data) == 0 {
 		panic("phy: transmitting empty frame")
 	}
@@ -466,20 +542,18 @@ func (m *Medium) launch(origin geo.Point, sender *Radio, f Frame) TxInfo {
 	if sender == nil {
 		m.stats.Injections++
 	}
-	var rxs []int32
-	switch {
-	case m.cfg.BruteForce:
-		rxs = m.scan(origin, sender)
-	case sender != nil:
-		rxs = m.neighbours(sender)
-	default:
-		rxs = m.inRange(origin)
+	var rxs []link
+	if m.cfg.BruteForce {
+		rxs = m.scan(from.pos, sender)
+	} else {
+		rxs = m.table(from, sender)
 	}
-	// Every path lists its receivers in ascending radio index and
-	// delivers with the same distance float, so the delivery sequence,
-	// and with it the medium's rng draw order, is the O(N) scan's.
+	// Both paths list their links in ascending radio index with delays
+	// from the same distance float, so the delivery sequence, and with it
+	// the medium's rng draw order, is the O(N) scan's.
 	fo := m.getFanout()
 	fo.frame = f
+	fo.origin = from.pos
 	// Sized before the walk so the arrival records deliver links into
 	// receivers' inflight lists never move.
 	if cap(fo.rx) < len(rxs) {
@@ -490,9 +564,8 @@ func (m *Medium) launch(origin geo.Point, sender *Radio, f Frame) TxInfo {
 	// (at, seq) order (DESIGN.md §9).
 	var buf [4]sim.Time // two instants at the paper's range
 	ends := buf[:0]
-	for _, ri := range rxs {
-		rx := m.radios[ri]
-		end := m.deliver(fo, rx, origin.Dist(rx.pos), info)
+	for _, l := range rxs {
+		end := m.deliver(fo, l, info)
 		if !slices.Contains(ends, end) {
 			ends = append(ends, end)
 			m.sched.At(end, fo.fire)
@@ -503,7 +576,7 @@ func (m *Medium) launch(origin geo.Point, sender *Radio, f Frame) TxInfo {
 		m.putFanout(fo)
 	}
 	for _, t := range m.taps {
-		t(origin, f, info)
+		t(from.pos, f, info)
 	}
 	return info
 }
@@ -515,9 +588,10 @@ func (m *Medium) launch(origin geo.Point, sender *Radio, f Frame) TxInfo {
 // deliverNow once, when the record is created, so a steady-state launch
 // allocates nothing.
 type fanout struct {
-	m     *Medium
-	frame Frame
-	rx    []delivery
+	m      *Medium
+	frame  Frame
+	origin geo.Point // the launch point, for MeasuredDist
+	rx     []delivery
 	// instants counts the arrival-instant events still to fire; the last
 	// one returns the record to the pool.
 	instants int
@@ -525,12 +599,12 @@ type fanout struct {
 }
 
 // delivery is one receiver's share of a fanout: its arrival record
-// (linked into rx.inflight for collision, half-duplex and Busy checks)
-// and its own register timestamp and ranging measurement.
+// (linked into rx.inflight for collision, half-duplex and Busy checks),
+// its own register timestamp, and the ranging error drawn for it.
 type delivery struct {
 	rx        *Radio
 	arr       arrival
-	measured  float64
+	rangeErr  float64
 	firstByte sim.Time
 }
 
@@ -552,11 +626,13 @@ func (m *Medium) putFanout(fo *fanout) {
 	m.fanFree = append(m.fanFree, fo)
 }
 
-// deliver resolves rx's arrival of the launch: collision and half-duplex
-// marking against what rx already has in flight, then the jitter and
-// ranging draws, in that order. It returns the arrival instant.
-func (m *Medium) deliver(fo *fanout, rx *Radio, trueDist float64, info TxInfo) sim.Time {
-	prop := propagation(trueDist)
+// deliver resolves the arrival of the launch over link l: collision and
+// half-duplex marking against what the receiver already has in flight,
+// then the jitter and ranging-error draws, in that order. It returns the
+// arrival instant.
+func (m *Medium) deliver(fo *fanout, l link, info TxInfo) sim.Time {
+	rx := m.radios[l.rx]
+	prop := sim.Time(l.prop)
 	span := interval{info.AirStart + prop, info.AirEnd + prop}
 	corrupted := false
 	// Collision: overlapping arrivals corrupt each other ("node B either
@@ -579,13 +655,13 @@ func (m *Medium) deliver(fo *fanout, rx *Radio, trueDist float64, info TxInfo) s
 	// t2/t4: first byte available in the receiving register one
 	// byte-time plus propagation plus hardware delay after air start.
 	firstByte := info.AirStart + CyclesPerByte + prop + m.cfg.Jitter.draw(m.src)
-	measured := m.cfg.Ranging.Measure(trueDist+fo.frame.RangeBias, m.src)
+	rangeErr := m.cfg.Ranging.Error(m.src)
 	// launch gave fo.rx room for every receiver, so &d.arr never moves.
 	fo.rx = fo.rx[:len(fo.rx)+1]
 	d := &fo.rx[len(fo.rx)-1]
 	d.rx = rx
 	d.arr = arrival{span: span, corrupted: corrupted}
-	d.measured = measured
+	d.rangeErr = rangeErr
 	d.firstByte = firstByte
 	rx.inflight = append(rx.inflight, &d.arr)
 	return span.end
@@ -611,12 +687,7 @@ func (fo *fanout) deliverNow() {
 			continue
 		}
 		m.stats.Deliveries++
-		rx.handler(Reception{
-			Frame:         fo.frame,
-			MeasuredDist:  d.measured,
-			FirstByteSPDR: d.firstByte,
-			End:           now,
-		})
+		rx.handler(Reception{Frame: &fo.frame, fo: fo, d: d})
 	}
 	fo.instants--
 	if fo.instants == 0 {

@@ -70,8 +70,8 @@ func TestTransmitTiming(t *testing.T) {
 	sched, m := newTestMedium(Config{Range: 150})
 	tx := m.NewRadio(geo.Point{X: 0, Y: 0})
 	rx := m.NewRadio(geo.Point{X: 10, Y: 0})
-	var rec Reception
-	rx.SetHandler(func(r Reception) { rec = r })
+	var end, firstByte sim.Time // copied out: a Reception lives only during the call
+	rx.SetHandler(func(r Reception) { end, firstByte = r.End(), r.FirstByteSPDR() })
 	sched.At(1000, func() {
 		info := m.Transmit(tx, frame(20))
 		if info.AirStart != 1000 {
@@ -92,12 +92,12 @@ func TestTransmitTiming(t *testing.T) {
 	if err := sched.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if rec.End < 1000+FrameAirTime(20) {
-		t.Errorf("reception End = %v before air end", rec.End)
+	if end < 1000+FrameAirTime(20) {
+		t.Errorf("reception End = %v before air end", end)
 	}
 	// t2 is after the first byte arrives.
-	if rec.FirstByteSPDR <= 1000+CyclesPerByte {
-		t.Errorf("receiver FirstByteSPDR = %v, want after first byte air time", rec.FirstByteSPDR)
+	if firstByte <= 1000+CyclesPerByte {
+		t.Errorf("receiver FirstByteSPDR = %v, want after first byte air time", firstByte)
 	}
 }
 
@@ -115,7 +115,7 @@ func TestRTTStructure(t *testing.T) {
 	var rtts []float64
 	var t1, t2, t3, t4 sim.Time
 	bHandler := func(rec Reception) {
-		t2 = rec.FirstByteSPDR
+		t2 = rec.FirstByteSPDR()
 		// Arbitrary processing delay before replying: must cancel. Kept
 		// below the inter-exchange gap so consecutive exchanges never
 		// overlap on air.
@@ -126,7 +126,7 @@ func TestRTTStructure(t *testing.T) {
 		})
 	}
 	aHandler := func(rec Reception) {
-		t4 = rec.FirstByteSPDR
+		t4 = rec.FirstByteSPDR()
 		rtts = append(rtts, float64(t4-t1)-float64(t3-t2))
 	}
 	b.SetHandler(bHandler)
@@ -226,20 +226,21 @@ func TestHalfDuplexReceiverTransmitting(t *testing.T) {
 func TestInjectDeliversFromOrigin(t *testing.T) {
 	sched, m := newTestMedium(Config{Range: 150, Ranging: Perfect{}})
 	rx := m.NewRadio(geo.Point{X: 0, Y: 0})
-	var rec Reception
+	var measured float64
+	var replayed bool
 	n := 0
-	rx.SetHandler(func(r Reception) { rec = r; n++ })
-	m.Inject(geo.Point{X: 30, Y: 40}, Frame{Data: make([]byte, 16), Replayed: true})
+	rx.SetHandler(func(r Reception) { measured, replayed = r.MeasuredDist(), r.Frame.Replayed; n++ })
+	m.Inject(m.NewEmitter(geo.Point{X: 30, Y: 40}), Frame{Data: make([]byte, 16), Replayed: true})
 	if err := sched.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
 		t.Fatalf("injected frame delivered %d times", n)
 	}
-	if rec.MeasuredDist != 50 {
-		t.Errorf("MeasuredDist = %v, want 50 (distance to injection point)", rec.MeasuredDist)
+	if measured != 50 {
+		t.Errorf("MeasuredDist = %v, want 50 (distance to injection point)", measured)
 	}
-	if !rec.Frame.Replayed {
+	if !replayed {
 		t.Error("Replayed flag lost in delivery")
 	}
 }
@@ -249,7 +250,7 @@ func TestRangeBiasShiftsMeasurement(t *testing.T) {
 	tx := m.NewRadio(geo.Point{X: 0, Y: 0})
 	rx := m.NewRadio(geo.Point{X: 50, Y: 0})
 	var got float64
-	rx.SetHandler(func(r Reception) { got = r.MeasuredDist })
+	rx.SetHandler(func(r Reception) { got = r.MeasuredDist() })
 	m.Transmit(tx, Frame{Data: make([]byte, 16), RangeBias: 40})
 	if err := sched.Run(); err != nil {
 		t.Fatal(err)
@@ -263,14 +264,14 @@ func TestBoundedUniformRanging(t *testing.T) {
 	r := BoundedUniform{MaxError: 10}
 	src := rng.New(5)
 	for i := 0; i < 10000; i++ {
-		d := r.Measure(100, src)
+		d := r.Apply(100, r.Error(src))
 		if d < 90 || d > 110 {
 			t.Fatalf("measurement %v outside ±10 of 100", d)
 		}
 	}
 	// Never negative.
 	for i := 0; i < 1000; i++ {
-		if d := r.Measure(1, src); d < 0 {
+		if d := r.Apply(1, r.Error(src)); d < 0 {
 			t.Fatalf("negative measurement %v", d)
 		}
 	}
@@ -281,7 +282,7 @@ func TestTruncatedGaussianRanging(t *testing.T) {
 	src := rng.New(6)
 	var sum float64
 	for i := 0; i < 10000; i++ {
-		d := r.Measure(100, src)
+		d := r.Apply(100, r.Error(src))
 		if d < 90 || d > 110 {
 			t.Fatalf("measurement %v outside truncation", d)
 		}
@@ -289,6 +290,73 @@ func TestTruncatedGaussianRanging(t *testing.T) {
 	}
 	if mean := sum / 10000; math.Abs(mean-100) > 0.5 {
 		t.Errorf("gaussian ranging mean %v, want ~100", mean)
+	}
+}
+
+// measureOneStep is the one-step Measure(trueDist, src) that Ranging had
+// before the Error/Apply split, kept verbatim as the reference.
+func measureOneStep(r Ranging, trueDist float64, src *rng.Source) float64 {
+	switch r := r.(type) {
+	case BoundedUniform:
+		d := trueDist + src.Uniform(-r.MaxError, r.MaxError)
+		if d < 0 {
+			d = 0
+		}
+		return d
+	case TruncatedGaussian:
+		e := r.Sigma * src.NormFloat64()
+		if e > r.MaxError {
+			e = r.MaxError
+		}
+		if e < -r.MaxError {
+			e = -r.MaxError
+		}
+		d := trueDist + e
+		if d < 0 {
+			d = 0
+		}
+		return d
+	case Perfect:
+		return trueDist
+	}
+	panic("unknown ranging model")
+}
+
+// TestRangingSplitMatchesMeasure pins the lazy ranging path: drawing the
+// error at delivery and applying it on read gives the one-step
+// measurement bit for bit, and consumes the same rng draws, so the two
+// streams stay in lockstep. Biased distances go negative, where Perfect
+// passes the value through and the other models clamp to 0.
+func TestRangingSplitMatchesMeasure(t *testing.T) {
+	for _, r := range []Ranging{
+		BoundedUniform{MaxError: 10},
+		TruncatedGaussian{Sigma: 4, MaxError: 10},
+		TruncatedGaussian{Sigma: 8, MaxError: 3}, // truncation binds often
+		Perfect{},
+	} {
+		dists := rng.New(3)
+		ref, split := rng.New(11), rng.New(11)
+		negative := 0
+		for i := 0; i < 20000; i++ {
+			d := dists.Uniform(0, 150) + dists.Uniform(-200, 60) // true distance + RangeBias
+			if d < 0 {
+				negative++
+			}
+			want := measureOneStep(r, d, ref)
+			got := r.Apply(d, r.Error(split))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%T: Apply(%v, Error) = %v, one-step Measure = %v", r, d, got, want)
+			}
+			if _, perfect := r.(Perfect); !perfect && got < 0 {
+				t.Fatalf("%T: negative measurement %v", r, got)
+			}
+			if a, b := ref.Uint64(), split.Uint64(); a != b {
+				t.Fatalf("%T: rng streams diverge after draw %d", r, i)
+			}
+		}
+		if negative < 1000 {
+			t.Fatalf("%T: only %d negative biased distances; the clamp is untested", r, negative)
+		}
 	}
 }
 
@@ -380,12 +448,23 @@ func TestEmptyFramePanics(t *testing.T) {
 }
 
 func TestBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero range did not panic")
-		}
-	}()
-	NewMedium(sim.New(), rng.New(1), Config{})
+	for _, c := range []struct {
+		name    string
+		rangeFt float64
+	}{
+		{"zero range", 0},
+		// A link stores its propagation delay in 32 bits.
+		{"range overflowing a link's delay", 1e12},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", c.name)
+				}
+			}()
+			NewMedium(sim.New(), rng.New(1), Config{Range: c.rangeFt})
+		}()
+	}
 }
 
 func TestTapSeesAllTransmissions(t *testing.T) {
@@ -396,7 +475,7 @@ func TestTapSeesAllTransmissions(t *testing.T) {
 		origins = append(origins, origin)
 	})
 	m.Transmit(tx, frame(16))
-	m.Inject(geo.Point{X: 70, Y: 80}, frame(16))
+	m.Inject(m.NewEmitter(geo.Point{X: 70, Y: 80}), frame(16))
 	if err := sched.Run(); err != nil {
 		t.Fatal(err)
 	}

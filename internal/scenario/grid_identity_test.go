@@ -10,12 +10,12 @@ import (
 
 // TestGridVsBruteForceByteIdentical pins the central promise of the
 // radio medium's receiver resolution: swapping its O(N) receiver scan
-// for the neighbour tables (Transmit) and the spatial grid (Inject)
+// for the link tables of radios (Transmit) and emitters (Inject)
 // changes no output byte of a full scenario run. The
 // config deliberately exercises every delivery path — CSMA contention,
-// a wormhole tunnel (Inject from arbitrary origins), a local replay
-// attacker, collusion traffic — so a divergence anywhere in receiver
-// order or rng draw order would surface.
+// a wormhole tunnel (Inject from both exits), a local replay attacker,
+// collusion traffic — so a divergence anywhere in receiver order or rng
+// draw order would surface.
 func TestGridVsBruteForceByteIdentical(t *testing.T) {
 	cfg := smallConfig(0.3, 21)
 	cfg.Wormholes = []WormholeSpec{{

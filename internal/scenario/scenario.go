@@ -111,8 +111,8 @@ type Config struct {
 	Seed uint64
 
 	// bruteForceMedium is a test hook: it forces the radio medium's
-	// historical O(N) receiver scan instead of its neighbour tables and
-	// spatial grid (see phy.Config.BruteForce). The paths are pinned
+	// historical O(N) receiver scan instead of its link tables (see
+	// phy.Config.BruteForce). The paths are pinned
 	// byte-identical by TestGridVsBruteForceByteIdentical.
 	bruteForceMedium bool
 }

@@ -38,6 +38,8 @@ type Tunnel struct {
 
 	medium   *phy.Medium
 	sched    *sim.Scheduler
+	exitA    *phy.Emitter // replays of traffic captured near B
+	exitB    *phy.Emitter // replays of traffic captured near A
 	captureR float64
 	// Forwarded counts frames relayed (both directions).
 	Forwarded uint64
@@ -55,6 +57,8 @@ func Install(sched *sim.Scheduler, medium *phy.Medium, a, b geo.Point, latency s
 		sched:    sched,
 		captureR: medium.Range(),
 		Latency:  latency,
+		exitA:    medium.NewEmitter(a),
+		exitB:    medium.NewEmitter(b),
 	}
 	medium.AddTap(t.tap)
 	return t
@@ -66,12 +70,12 @@ func (t *Tunnel) tap(origin geo.Point, f phy.Frame, info phy.TxInfo) {
 	if f.Replayed {
 		return
 	}
-	var exit geo.Point
+	var exit *phy.Emitter
 	switch {
 	case origin.Dist(t.A) <= t.captureR:
-		exit = t.B
+		exit = t.exitB
 	case origin.Dist(t.B) <= t.captureR:
-		exit = t.A
+		exit = t.exitA
 	default:
 		return
 	}

@@ -23,9 +23,11 @@ func TestTunnelForwardsBothDirections(t *testing.T) {
 
 	nearA := m.NewRadio(geo.Point{X: 120, Y: 100})
 	nearB := m.NewRadio(geo.Point{X: 780, Y: 700})
-	var atA, atB []phy.Reception
-	nearA.SetHandler(func(r phy.Reception) { atA = append(atA, r) })
-	nearB.SetHandler(func(r phy.Reception) { atB = append(atB, r) })
+	// Replayed flags of what each radio hears: a Reception is valid only
+	// during its handler call.
+	var atA, atB []bool
+	nearA.SetHandler(func(r phy.Reception) { atA = append(atA, r.Frame.Replayed) })
+	nearB.SetHandler(func(r phy.Reception) { atB = append(atB, r.Frame.Replayed) })
 
 	// Transmit near A; must appear near B as a replayed frame.
 	sched.At(0, func() { m.Transmit(nearA, phy.Frame{Data: make([]byte, 16)}) })
@@ -37,7 +39,7 @@ func TestTunnelForwardsBothDirections(t *testing.T) {
 	if len(atB) != 1 {
 		t.Fatalf("near-B radio received %d frames, want 1 (tunneled)", len(atB))
 	}
-	if !atB[0].Frame.Replayed {
+	if !atB[0] {
 		t.Error("tunneled frame not marked Replayed")
 	}
 	if len(atA) != 1 {
@@ -56,7 +58,7 @@ func TestTunnelMeasuredDistanceIsToExit(t *testing.T) {
 	nearA := m.NewRadio(geo.Point{X: 100, Y: 100})
 	nearB := m.NewRadio(geo.Point{X: 830, Y: 740})
 	var got []float64
-	nearB.SetHandler(func(r phy.Reception) { got = append(got, r.MeasuredDist) })
+	nearB.SetHandler(func(r phy.Reception) { got = append(got, r.MeasuredDist()) })
 	sched.At(0, func() { m.Transmit(nearA, phy.Frame{Data: make([]byte, 16)}) })
 	if err := sched.Run(); err != nil {
 		t.Fatal(err)
@@ -108,7 +110,7 @@ func TestTunnelLatency(t *testing.T) {
 	tx := m.NewRadio(geo.Point{X: 10, Y: 0})
 	rx := m.NewRadio(geo.Point{X: 790, Y: 0})
 	var end sim.Time
-	rx.SetHandler(func(r phy.Reception) { end = r.End })
+	rx.SetHandler(func(r phy.Reception) { end = r.End() })
 	sched.At(0, func() { m.Transmit(tx, phy.Frame{Data: make([]byte, 16)}) })
 	if err := sched.Run(); err != nil {
 		t.Fatal(err)
@@ -189,14 +191,14 @@ func tunnelRTT(t *testing.T, latency sim.Time) float64 {
 	var t1, t2, t3, t4 sim.Time
 	rtt := -1.0
 	v.SetHandler(func(r phy.Reception) {
-		t2 = r.FirstByteSPDR
+		t2 = r.FirstByteSPDR()
 		sched.After(5000, func() {
 			info := m.Transmit(v, phy.Frame{Data: make([]byte, 16)})
 			t3 = info.FirstByteSPDR
 		})
 	})
 	u.SetHandler(func(r phy.Reception) {
-		t4 = r.FirstByteSPDR
+		t4 = r.FirstByteSPDR()
 		rtt = float64(t4-t1) - float64(t3-t2)
 	})
 	sched.At(sim.Millis(5), func() {
